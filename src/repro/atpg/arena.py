@@ -1,8 +1,9 @@
-"""Arena-encoded netlist and word-parallel fault simulation.
+"""Arena-encoded netlist, good-machine codegen and word-parallel fault
+simulation.
 
 The object-graph :class:`~repro.synth.netlist.Netlist` is the wrong shape for
-the fault-simulation hot path: every evaluation walks ``Gate`` dataclasses,
-tuples and dicts.  This module flattens a netlist once into a
+the simulation hot path: every evaluation walks ``Gate`` dataclasses, tuples
+and dicts.  This module flattens a netlist once into a
 :class:`NetlistArena` — a frozen struct-of-arrays encoding (gate opcodes,
 outputs and CSR fanin/fanout as ``array('i')`` rows, dense net ids, the
 levelized evaluation order baked into the row order, a DFS site-rank map for
@@ -12,6 +13,12 @@ The arena is plain picklable data: it is cached in the artifact store (stage
 ``arena``) keyed by the netlist fingerprint, and fork/spawn workers can be
 handed the pickled arena instead of re-deriving per-process state from the
 netlist.
+
+Backend selection: ``backend="arena"`` (default) runs this module;
+``"interpreted"`` walks the gate list (:mod:`repro.atpg.fault_sim`,
+:mod:`repro.atpg.simulator`) and is kept unchanged as the differential
+oracle.  The environment variable ``REPRO_SIM_BACKEND`` overrides the
+default.
 
 Simulation model
 ----------------
@@ -23,10 +30,15 @@ machine words, not independent patterns; see ``docs/performance.md`` for why
 this differs from textbook PPSFP).  A call proceeds as:
 
 1. **Good-machine pass** — the shared fault-free simulation, one plane per
-   cycle, reusing the code-generated chunk functions of
-   :mod:`repro.atpg.compiled` (bit-identical by construction).  While
-   simulating, a per-net *ever-one* / *ever-zero* byte table is accumulated
-   with O(nets) big-int shifts per cycle.
+   cycle, through code generated once per netlist: every net becomes a
+   local variable (``o<net>``/``z<net>`` for the ones/zeros masks), gate
+   operations are inlined in levelized order, and the results are flushed
+   into a flat list ``V`` (``V[2n]`` = ones, ``V[2n+1]`` = zeros of net
+   *n*).  The code is chunked into functions of bounded size so CPython's
+   compiler stays fast; :class:`~repro.atpg.simulator.LogicSimulator`
+   runs the same chunks.  While simulating, a per-net *ever-one* /
+   *ever-zero* byte table is accumulated with O(nets) big-int shifts per
+   cycle.
 2. **Refinement filter** — a stuck-at-``v`` fault whose site never carries
    the binary value ``1-v`` in the good machine is provably undetectable by
    this sequence, so its lane is never simulated.  Proof sketch: by
@@ -37,26 +49,22 @@ this differs from textbook PPSFP).  A call proceeds as:
    requires a binary-vs-binary difference at an observe point, which a
    refinement cannot produce.
 3. **Cone-partitioned lane blocks** — surviving faults are sorted in cone
-   pack order and partitioned by a cost model; each block simulates only the
-   union fanout cone of its sites, with fault injection fused at the sites,
-   X-masks preserved end to end, detection against good-plane selector
-   masks, and early exit once every injected lane has detected.  Large
-   steady-state workloads run through per-block *generated* functions
-   (single-use fanouts fused into consumer expressions); small or one-shot
-   workloads (ATPG cross-simulation) run an interpreted block program with
-   the same semantics, skipping codegen cost.
+   pack order and cut into fixed-width blocks; each block simulates only
+   the union fanout cone of its sites, interpreted over a flat value list,
+   with fault injection fused at the sites, X-masks preserved end to end,
+   detection against the good planes, and early exit once every injected
+   lane has detected.
 
-Detected sets are bit-identical to both the interpreted oracle and the
-compiled backend; ``tests/test_arena.py`` holds the differential suite.
+Detected sets are bit-identical to the interpreted oracle;
+``tests/test_arena.py`` holds the differential suite.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
-from collections import OrderedDict
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 from weakref import WeakKeyDictionary
 
 from repro.synth.netlist import Gate, GateType, Netlist
@@ -64,6 +72,168 @@ from repro.atpg.faults import Fault, TransientFault
 
 Mask = Tuple[int, int]
 Vector = Mapping[int, int]
+
+BACKENDS = ("arena", "interpreted")
+
+# Gates per generated function: bounds CPython compile time per chunk while
+# keeping the per-call dispatch overhead negligible.
+_CHUNK_GATES = 1500
+
+
+def default_backend() -> str:
+    """Session-wide default backend (``REPRO_SIM_BACKEND`` to override)."""
+    return os.environ.get("REPRO_SIM_BACKEND", "arena")
+
+
+def resolve_backend(backend: Optional[str]) -> str:
+    resolved = backend or default_backend()
+    if resolved not in BACKENDS:
+        raise ValueError(
+            f"unknown simulation backend {resolved!r}; expected one of "
+            f"{', '.join(BACKENDS)}"
+        )
+    return resolved
+
+
+# -- code generation ----------------------------------------------------------
+
+def _gate_statements(gate: Gate) -> List[str]:
+    """Python statements computing ``o<out>``/``z<out>`` from input locals.
+
+    The expressions replicate :func:`repro.atpg.simulator.eval_gate` exactly,
+    including the identity-element folds (``full`` trims the AND/XOR masks the
+    same way the interpreted fold starting from ``(full, 0)`` / ``(0, full)``
+    does), so both backends agree bit-for-bit on all three values.
+    """
+    t, out, ins = gate.type, gate.output, gate.inputs
+    if t is GateType.BUF:
+        a = ins[0]
+        return [f" o{out} = o{a}; z{out} = z{a}"]
+    if t is GateType.NOT:
+        a = ins[0]
+        return [f" o{out} = z{a}; z{out} = o{a}"]
+    if t is GateType.AND or t is GateType.NAND:
+        ones = " & ".join(["full"] + [f"o{i}" for i in ins])
+        zeros = " | ".join(f"z{i}" for i in ins)
+        if t is GateType.NAND:
+            return [f" o{out} = {zeros}; z{out} = {ones}"]
+        return [f" o{out} = {ones}; z{out} = {zeros}"]
+    if t is GateType.OR or t is GateType.NOR:
+        ones = " | ".join(f"o{i}" for i in ins)
+        zeros = " & ".join(["full"] + [f"z{i}" for i in ins])
+        if t is GateType.NOR:
+            return [f" o{out} = {zeros}; z{out} = {ones}"]
+        return [f" o{out} = {ones}; z{out} = {zeros}"]
+    if t is GateType.XOR or t is GateType.XNOR:
+        first = ins[0]
+        stmts = [f" _to = full & o{first}; _tz = full & z{first}"]
+        for i in ins[1:]:
+            stmts.append(
+                f" _to, _tz = (_to & z{i}) | (_tz & o{i}), "
+                f"(_to & o{i}) | (_tz & z{i})"
+            )
+        if t is GateType.XNOR:
+            stmts.append(f" o{out} = _tz; z{out} = _to")
+        else:
+            stmts.append(f" o{out} = _to; z{out} = _tz")
+        return stmts
+    raise ValueError(f"cannot compile gate type {t}")
+
+
+def _codegen_code_objects(order: Sequence[Gate], name: str):
+    """Generate and compile one code object per gate chunk."""
+    codes = []
+    for start in range(0, len(order), _CHUNK_GATES):
+        gates = order[start:start + _CHUNK_GATES]
+        lines = ["def _chunk(V, full):"]
+        local: Set[int] = set()
+        for gate in gates:
+            for inp in gate.inputs:
+                if inp not in local:
+                    lines.append(
+                        f" o{inp} = V[{2 * inp}]; z{inp} = V[{2 * inp + 1}]"
+                    )
+                    local.add(inp)
+            lines.extend(_gate_statements(gate))
+            local.add(gate.output)
+            out = gate.output
+            lines.append(f" V[{2 * out}] = o{out}; V[{2 * out + 1}] = z{out}")
+        if len(lines) == 1:
+            lines.append(" pass")
+        source = "\n".join(lines)
+        codes.append(compile(source, f"<compiled:{name}:{start}>", "exec"))
+    return codes
+
+
+def _chunks_from_codes(codes) -> List:
+    chunks = []
+    for code in codes:
+        namespace: Dict[str, object] = {}
+        exec(code, namespace)
+        chunks.append(namespace["_chunk"])
+    return chunks
+
+
+def _codegen_chunks(order: Sequence[Gate], name: str,
+                    num_nets: Optional[int] = None):
+    """The ``fn(V, full)`` chunk functions for a levelized gate order.
+
+    Codegen and CPython compilation dominate first-call latency on large
+    netlists, so the compiled code objects are persisted in the artifact
+    store as :mod:`marshal` blobs keyed by the gate-order fingerprint and
+    the interpreter's bytecode magic; a warm process deserializes instead
+    of re-generating and re-compiling.  Any failure to deserialize falls
+    back to a fresh compile.
+    """
+    import importlib.util
+    import marshal
+
+    from repro.store import MISS, gates_fingerprint, get_store
+
+    store = get_store()
+    key = {
+        "gates": gates_fingerprint(order,
+                                   num_nets if num_nets is not None else 0),
+        "chunk_gates": _CHUNK_GATES,
+        "magic": importlib.util.MAGIC_NUMBER.hex(),
+    }
+    blobs = store.get("codegen", key)
+    if blobs is not MISS:
+        try:
+            return _chunks_from_codes(marshal.loads(blob) for blob in blobs)
+        except (ValueError, EOFError, TypeError, KeyError):
+            pass  # foreign/damaged blob: fall through to a fresh compile
+    codes = _codegen_code_objects(order, name)
+    store.put("codegen", key, [marshal.dumps(code) for code in codes])
+    return _chunks_from_codes(codes)
+
+
+class NetValues(Mapping[int, Mask]):
+    """Read-only mapping view of a flat simulation value list.
+
+    Every net id in ``range(num_nets)`` is a key; undriven nets read as
+    ``(0, 0)`` (X), matching the ``values.get(net, (0, 0))`` convention of
+    the interpreted simulator.
+    """
+
+    __slots__ = ("_values", "_num_nets")
+
+    def __init__(self, values: List[int], num_nets: int):
+        self._values = values
+        self._num_nets = num_nets
+
+    def __getitem__(self, net: int) -> Mask:
+        if not 0 <= net < self._num_nets:
+            raise KeyError(net)
+        i = 2 * net
+        return (self._values[i], self._values[i + 1])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._num_nets))
+
+    def __len__(self) -> int:
+        return self._num_nets
+
 
 # Integer opcodes for the struct-of-arrays gate rows.  DFFs live in their
 # own (dff_q, dff_d) rows, so only combinational types appear here.
@@ -75,25 +245,6 @@ _OP_OF = {
     GateType.NOT: OP_NOT, GateType.BUF: OP_BUF,
 }
 _GT_OF = {op: gt for gt, op in _OP_OF.items()}
-
-# Below these workload sizes the ~0.5s/kgate block-codegen cost cannot
-# amortize (ATPG cross-simulates 1-2 vectors per generated test), so the
-# interpreted block program runs instead.  Env knobs let tests and smoke
-# jobs exercise the generated path on tiny designs.
-CODEGEN_MIN_FAULTS = 2000
-CODEGEN_MIN_VECTORS = 8
-
-# Fused single-use fanout expressions deeper than this are materialized
-# anyway, bounding generated expression nesting (CPython's compiler and
-# peephole stay fast).
-_FUSE_MAX_DEPTH = 12
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ[name])
-    except (KeyError, ValueError):
-        return default
 
 
 class NetlistArena:
@@ -150,9 +301,7 @@ class NetlistArena:
     def from_netlist(cls, netlist: Netlist) -> "NetlistArena":
         from repro.store import gates_fingerprint
 
-        topo = netlist.topological_order()
-        level = netlist.levels(topo)
-        order = sorted(topo, key=lambda g: level[g.output])
+        order = netlist.levelized_order()
         num_nets = netlist.num_nets
 
         gate_op = array("i", (_OP_OF[g.type] for g in order))
@@ -188,7 +337,7 @@ class NetlistArena:
                 cursor[inp] += 1
 
         site_rank = array("i", [-1]) * num_nets
-        for i, g in enumerate(topo):
+        for i, g in enumerate(netlist.topological_order()):
             site_rank[g.output] = i
 
         fingerprint = (num_nets, len(netlist.gates), len(netlist.pis),
@@ -212,9 +361,9 @@ class NetlistArena:
     def gates(self) -> List[Gate]:
         """The levelized combinational gate row as ``Gate`` objects.
 
-        Used to share the good-machine codegen (and its marshal cache) with
-        :mod:`repro.atpg.compiled` — the reconstructed sequence is
-        element-wise identical to ``CompiledNetlist.order``.
+        The reconstructed sequence is element-wise identical to
+        :meth:`Netlist.levelized_order`, so the good-machine codegen (and
+        its ``codegen`` store key) is the one the netlist itself yields.
         """
         return [
             Gate(type=_GT_OF[self.gate_op[gi]], output=self.gate_out[gi],
@@ -248,65 +397,17 @@ class NetlistArena:
         )
 
 
-_ARENAS: "WeakKeyDictionary[Netlist, NetlistArena]" = WeakKeyDictionary()
-
-
-def get_arena(netlist: Netlist) -> NetlistArena:
-    """The cached arena encoding of ``netlist``.
-
-    In-process instances are cached per netlist object (rebuilt when the
-    netlist grew — append-only mutation is the only kind this codebase
-    performs); across processes the pickled arena is memoized in the
-    artifact store under the ``arena`` stage, keyed by the netlist
-    fingerprint.
-    """
-    cached = _ARENAS.get(netlist)
-    current = (netlist.num_nets, len(netlist.gates), len(netlist.pis),
-               len(netlist.pos))
-    if cached is not None and cached.fingerprint == current:
-        return cached
-
-    from repro.store import get_store, netlist_fingerprint
-
-    store = get_store()
-    key = {"netlist": netlist_fingerprint(netlist)}
-    payload = store.get("arena", key)
-    arena: Optional[NetlistArena] = None
-    if (isinstance(payload, NetlistArena)
-            and payload.fingerprint == current):
-        arena = payload
-    if arena is None:
-        arena = NetlistArena.from_netlist(netlist)
-        store.put("arena", key, arena)
-    _ARENAS[netlist] = arena
-    return arena
-
-
 # -- word-parallel fault simulation -------------------------------------------
-
-# Cost model for the greedy block partition: estimated nanoseconds per
-# bitwise op at a given lane width (big-int ops grow sub-linearly until the
-# operands spill the cache).  Measured on the development host; the exact
-# numbers only steer *merging* — correctness never depends on the partition.
-_OPCOST = ((512, 105), (1024, 108), (2048, 112), (4096, 133),
-           (8192, 162), (16384, 222))
-
-
-def _opcost(lanes: int) -> int:
-    for cap, cost in _OPCOST:
-        if lanes <= cap:
-            return cost
-    return 350
 
 
 class ArenaFaultSim:
     """Fault simulation over one :class:`NetlistArena`.
 
     Holds every reusable artifact of repeated simulation against the same
-    arena: the good-machine chunk functions, the memoized good-plane pass,
-    built lane blocks and their per-good-pass cycle setups.  Get instances
-    through :func:`get_arena_sim` so all ``FaultSimulator`` facades over the
-    same arena share them.
+    arena: the good-machine chunk functions and the memoized good-plane
+    pass.  Get instances through :func:`get_arena_sim` so every
+    ``FaultSimulator`` and ``LogicSimulator`` over the same netlist shares
+    them.
     """
 
     def __init__(self, arena: NetlistArena):
@@ -321,19 +422,12 @@ class ArenaFaultSim:
         self._good_istate: Optional[Mapping[int, int]] = None
         self._good_key = None
         self._good = None
-        self._good_token = 0
-        # Built codegen blocks keyed by (survivor lanes, observe points).
-        self._blocks: "OrderedDict[tuple, list]" = OrderedDict()
 
     # -- good machine -------------------------------------------------------
 
-    def _ensure_chunks(self):
+    def chunks(self) -> List:
+        """The good-machine ``fn(V, full)`` chunk functions (built once)."""
         if self._chunks is None:
-            from repro.atpg.compiled import _codegen_chunks
-
-            # Reconstructing Gate rows and reusing the compiled backend's
-            # codegen guarantees a bit-identical good machine *and* shares
-            # its marshal cache (same gate fingerprint, same source).
             self._chunks = _codegen_chunks(self.arena.gates(),
                                            self.arena.name,
                                            num_nets=self.arena.num_nets)
@@ -342,7 +436,7 @@ class ArenaFaultSim:
     def _good_pass(self, vectors: Sequence[Vector],
                    initial_state: Optional[Mapping[int, int]]):
         """Simulate the fault-free machine; returns
-        ``(planes, ever_one, ever_zero, token)``.
+        ``(planes, ever_one, ever_zero)``.
 
         ``planes`` holds one flat ``[o0, z0, o1, z1, ...]`` snapshot per
         cycle.  ``ever_one[n]`` / ``ever_zero[n]`` are truthy iff net ``n``
@@ -365,7 +459,7 @@ class ArenaFaultSim:
             self._good_istate = initial_state
             return self._good
 
-        chunks = self._ensure_chunks()
+        chunks = self.chunks()
         arena = self.arena
         nn = arena.num_nets
         pis, dff_q, dff_d = arena.pis, arena.dff_q, arena.dff_d
@@ -411,66 +505,21 @@ class ArenaFaultSim:
                 state[dff_q[k]] = (values[i], values[i + 1])
         ever_o |= acc_o
         ever_z |= acc_z
-        self._good_token += 1
         self._good = (
             planes,
             ever_o.to_bytes(nn + 1, "little"),
             ever_z.to_bytes(nn + 1, "little"),
-            self._good_token,
         )
         self._good_vectors = vectors
         self._good_istate = initial_state
         self._good_key = key
         return self._good
 
-    # -- block partition ----------------------------------------------------
-
-    def _partition(self, ordered: Sequence[Fault], base: int):
-        """Greedily merge cone-packed fault chunks while the cost model
-        says a merged block beats the pair (fewer redundant evaluations of
-        shared cone gates vs pricier wider-lane ops)."""
-        arena = self.arena
-        gate_out = arena.gate_out
-
-        def cone_gates(cone: Set[int]) -> int:
-            return sum(1 for out in gate_out if out in cone)
-
-        chunks = []
-        for i in range(0, len(ordered), base):
-            blk = list(ordered[i:i + base])
-            cone = arena.cone_of({f.net for f in blk})
-            chunks.append([blk, cone, cone_gates(cone)])
-
-        def cost(blk, ng):
-            sites = len({f.net for f in blk})
-            return (ng * 2.6 + sites * 3.0) * _opcost(len(blk))
-
-        changed = True
-        while changed:
-            changed = False
-            out = []
-            i = 0
-            while i < len(chunks):
-                if i + 1 < len(chunks):
-                    b1, c1, n1 = chunks[i]
-                    b2, c2, n2 = chunks[i + 1]
-                    cu = c1 | c2
-                    nu = cone_gates(cu)
-                    if cost(b1 + b2, nu) < cost(b1, n1) + cost(b2, n2):
-                        out.append([b1 + b2, cu, nu])
-                        i += 2
-                        changed = True
-                        continue
-                out.append(chunks[i])
-                i += 1
-            chunks = out
-        return chunks
-
     # -- shared block shape --------------------------------------------------
 
     def _block_shape(self, blk: Sequence[Fault], cone: Set[int],
                      obs_set: frozenset):
-        """Everything both block executors need about one lane block:
+        """Everything the block executors need about one lane block:
         injection-site lane masks, the cone's gate rows, flip-flops,
         boundary nets (read by the cone but produced outside it — they
         broadcast the shared good value) and observe points."""
@@ -500,253 +549,20 @@ class ArenaFaultSim:
         obs = sorted(obs_set & cone)
         site_order = sorted(site_lanes)
         return dict(
-            blk=list(blk), lanes=len(blk), site_lanes=site_lanes,
-            site_order=site_order, cone_gis=cone_gis, cone_dks=cone_dks,
-            comb_out=comb_out, qs=qs, bound=bound, obs=obs,
+            lanes=len(blk), site_lanes=site_lanes, site_order=site_order,
+            cone_gis=cone_gis, cone_dks=cone_dks, comb_out=comb_out,
+            bound=bound, obs=obs,
         )
 
-    # -- generated block path ------------------------------------------------
-
-    def _build_codegen_block(self, blk: Sequence[Fault], cone: Set[int],
-                             obs_set: frozenset):
-        """Compile one lane block into a specialized function
-        ``_blk(CYCS, M, I, PRESENT) -> det``.
-
-        Every cone net is a local; per-cycle boundary broadcasts and
-        good-plane observation selectors arrive as one pre-built tuple per
-        cycle; injection masks arrive in ``M`` (three slots per site:
-        erase/force1/force0), so the same code serves any requested subset
-        of the block's lanes — a lane with empty masks simulates the good
-        machine and can never detect.  Gates whose output is used exactly
-        once inside the block (and is not a site, observe point, state or
-        boundary net, nor an XOR operand) are fused into their consumer's
-        expression, eliminating their store/load round trip.
-        """
-        arena = self.arena
-        gate_op, gate_out = arena.gate_op, arena.gate_out
-        fanin, fanin_off = arena.fanin, arena.fanin_off
-        dff_q, dff_d = arena.dff_q, arena.dff_d
-        shape = self._block_shape(blk, cone, obs_set)
-        site_lanes = shape["site_lanes"]
-        site_order = shape["site_order"]
-        sidx = {n: 3 * k for k, n in enumerate(site_order)}
-        cone_gis, cone_dks = shape["cone_gis"], shape["cone_dks"]
-        comb_out, qs = shape["comb_out"], shape["qs"]
-        bound, obs = shape["bound"], shape["obs"]
-
-        # Polarity class per site decides the injection template: sites with
-        # a single stuck value need 2 ops instead of 4.  The class reflects
-        # the *block's* lane list; per-call subset masks always fit it.
-        spol = {}
-        for n in site_order:
-            m1, m0 = site_lanes[n]
-            spol[n] = "both" if (m1 and m0) else ("one" if m1 else "zero")
-
-        def norm(op: int, ins: Tuple[int, ...]):
-            # Degenerate single-input n-ary gates reduce to BUF/NOT exactly
-            # as in the interpreted fold (identity elements).
-            if len(ins) == 1 and op not in (OP_NOT, OP_BUF):
-                return (OP_BUF if op in (OP_AND, OP_OR, OP_XOR)
-                        else OP_NOT), ins
-            return op, ins
-
-        gate_row = {}
-        uses: Dict[int, int] = {}
-        for gi in cone_gis:
-            ins = tuple(fanin[fanin_off[gi]:fanin_off[gi + 1]])
-            op, ins = norm(gate_op[gi], ins)
-            gate_row[gate_out[gi]] = (op, ins)
-            for i in ins:
-                uses[i] = uses.get(i, 0) + 1
-
-        keep: Set[int] = set(site_order) | set(obs) | set(qs) | set(bound)
-        for k in cone_dks:
-            keep.add(dff_d[k])
-        for op, ins in gate_row.values():
-            if op in (OP_XOR, OP_XNOR):
-                # XOR consumes both planes of each operand twice; fusing an
-                # operand would evaluate its expression repeatedly.
-                keep.update(ins)
-
-        fuse: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-        depth: Dict[int, int] = {}
-        for gi in cone_gis:
-            out = gate_out[gi]
-            op, ins = gate_row[out]
-            d = 1 + max((depth.get(i, 0) for i in ins), default=0)
-            if (out not in keep and uses.get(out, 0) == 1
-                    and d <= _FUSE_MAX_DEPTH
-                    and not (op in (OP_XOR, OP_XNOR) and len(ins) > 2)):
-                fuse[out] = (op, ins)
-                depth[out] = d
-            else:
-                depth[out] = 0
-
-        def ref(n: int, plane: int) -> str:
-            fused = fuse.get(n)
-            if fused is not None:
-                return "(" + expr(fused[0], fused[1], plane) + ")"
-            return f"o{n}" if plane == 0 else f"z{n}"
-
-        def expr(op: int, ins: Tuple[int, ...], plane: int) -> str:
-            if op == OP_BUF:
-                return ref(ins[0], plane)
-            if op == OP_NOT:
-                return ref(ins[0], 1 - plane)
-            if op == OP_AND:
-                return (" & " if plane == 0 else " | ").join(
-                    ref(i, plane) for i in ins)
-            if op == OP_NAND:
-                return (" | " if plane == 0 else " & ").join(
-                    ref(i, 1 - plane) for i in ins)
-            if op == OP_OR:
-                return (" | " if plane == 0 else " & ").join(
-                    ref(i, plane) for i in ins)
-            if op == OP_NOR:
-                return (" & " if plane == 0 else " | ").join(
-                    ref(i, 1 - plane) for i in ins)
-            # 2-input XOR/XNOR (n-ary folds are emitted as statements)
-            a, b = ins
-            if op == OP_XNOR:
-                plane = 1 - plane
-            if plane == 0:
-                return (f"({ref(a, 0)} & {ref(b, 1)}) | "
-                        f"({ref(a, 1)} & {ref(b, 0)})")
-            return (f"({ref(a, 0)} & {ref(b, 0)}) | "
-                    f"({ref(a, 1)} & {ref(b, 1)})")
-
-        def inject_stmts(out: int, on: str, zn: str) -> List[str]:
-            k = sidx[out]
-            pol = spol[out]
-            if pol == "both":
-                return [f"        o{out} = (({on}) & M[{k}]) | M[{k + 1}]",
-                        f"        z{out} = (({zn}) & M[{k}]) | M[{k + 2}]"]
-            if pol == "one":
-                return [f"        o{out} = ({on}) | M[{k + 1}]",
-                        f"        z{out} = ({zn}) & M[{k}]"]
-            return [f"        o{out} = ({on}) & M[{k}]",
-                    f"        z{out} = ({zn}) | M[{k + 2}]"]
-
-        src = ["def _blk(CYCS, M, I, PRESENT):", "    det = 0"]
-        for k, q in enumerate(qs):
-            src.append(f"    o{q} = I[{2 * k}]; z{q} = I[{2 * k + 1}]")
-        src.append("    for CYC in CYCS:")
-        names: List[str] = []
-        for n in bound:
-            names.append(f"o{n}")
-            names.append(f"z{n}")
-        for p in obs:
-            names.append(f"s1_{p}")
-            names.append(f"s0_{p}")
-        if names:
-            src.append(f"        ({', '.join(names)},) = CYC")
-        # Fill-level injection: sites that are not cone gate outputs (PIs,
-        # flip-flop Qs, boundary nets) get their masks applied after the
-        # source values land; gate-output sites inject inline below.
-        for n in site_order:
-            if n in comb_out:
-                continue
-            src.extend(inject_stmts(n, f"o{n}", f"z{n}"))
-        for gi in cone_gis:
-            out = gate_out[gi]
-            if out in fuse:
-                continue
-            op, ins = gate_row[out]
-            if op in (OP_XOR, OP_XNOR) and len(ins) > 2:
-                src.append(f"        _to = {ref(ins[0], 0)}; "
-                           f"_tz = {ref(ins[0], 1)}")
-                for i in ins[1:]:
-                    src.append(
-                        f"        _to, _tz = (_to & {ref(i, 1)}) | "
-                        f"(_tz & {ref(i, 0)}), (_to & {ref(i, 0)}) | "
-                        f"(_tz & {ref(i, 1)})")
-                on, zn = ("_to", "_tz") if op == OP_XOR else ("_tz", "_to")
-            else:
-                on = expr(op, ins, 0)
-                zn = expr(op, ins, 1)
-            if out in site_lanes:
-                src.extend(inject_stmts(out, on, zn))
-            else:
-                src.append(f"        o{out} = {on}")
-                src.append(f"        z{out} = {zn}")
-        # Detection against the good-plane selectors *before* the state
-        # latch: observation compares this cycle's settled values.
-        for p in obs:
-            src.append(f"        det |= (z{p} & s1_{p}) | (o{p} & s0_{p})")
-        if cone_dks:
-            # One tuple assignment latches every flip-flop simultaneously,
-            # so Q->D chains read pre-latch values (synchronous semantics).
-            lhs = ", ".join(f"o{dff_q[k]}, z{dff_q[k]}" for k in cone_dks)
-            rhs = ", ".join(f"o{dff_d[k]}, z{dff_d[k]}" for k in cone_dks)
-            src.append(f"        {lhs} = {rhs}")
-        src.append("        if det == PRESENT: break")
-        src.append("    return det")
-
-        namespace: Dict[str, object] = {}
-        exec(compile("\n".join(src), f"<arena:{arena.name}>", "exec"),
-             namespace)
-        shape["fn"] = namespace["_blk"]
-        shape["setups"] = OrderedDict()
-        # The injection mask vector is block-invariant: all of the block's
-        # lanes are always present (the block cache is keyed by the exact
-        # survivor tuple).
-        M: List[int] = []
-        for n in site_order:
-            m1, m0 = site_lanes[n]
-            M.extend((~(m1 | m0), m1, m0))
-        shape["M"] = M
-        return shape
-
-    def _run_codegen_block(self, b, planes, token: int,
-                           initial_state: Optional[Mapping[int, int]]):
-        """Execute one built block against the memoized good planes;
-        returns ``(det, present)`` lane masks."""
-        lanes = b["lanes"]
-        full = (1 << lanes) - 1
-        # Per-cycle boundary/selector tuples and the initial-state vector
-        # depend only on (block, good pass): broadcast masks reference the
-        # one shared ``full`` object, so a setup is cheap to hold and free
-        # to reuse across repeated simulations of the same sequence.
-        setups = b["setups"]
-        setup = setups.get(token)
-        if setup is None:
-            I: List[int] = []
-            for q in b["qs"]:
-                if initial_state and q in initial_state:
-                    I.extend((full, 0) if initial_state[q] else (0, full))
-                else:
-                    I.extend((0, 0))
-            cycs = []
-            for plane in planes:
-                cyc: List[int] = []
-                for n in b["bound"]:
-                    i = 2 * n
-                    cyc.append(full if plane[i] else 0)
-                    cyc.append(full if plane[i + 1] else 0)
-                for p in b["obs"]:
-                    i = 2 * p
-                    cyc.append(full if plane[i] else 0)
-                    cyc.append(full if plane[i + 1] else 0)
-                cycs.append(tuple(cyc))
-            setup = (cycs, I)
-            setups[token] = setup
-            while len(setups) > 2:
-                setups.popitem(last=False)
-        else:
-            setups.move_to_end(token)
-        cycs, I = setup
-        return b["fn"](cycs, b["M"], I, full), full
-
-    # -- interpreted block path ----------------------------------------------
+    # -- lane blocks ----------------------------------------------------------
 
     def _run_interp_block(self, blk: Sequence[Fault], planes,
                           initial_state: Optional[Mapping[int, int]],
                           obs_set: frozenset):
-        """One-shot lane block without code generation: the same cone
-        restriction, injection, detection and early exit as the generated
-        path, interpreted over a flat value list.  Used for small or
-        unrepeated workloads (ATPG cross-simulation) where per-survivor-set
-        codegen could never amortize."""
+        """One lane block of stuck-at faults: the union fanout cone of the
+        block's sites interpreted over a flat value list, with injection
+        fused at the sites, detection against the good planes and early
+        exit once every lane has detected."""
         arena = self.arena
         cone = arena.cone_of({f.net for f in blk})
         shape = self._block_shape(blk, cone, obs_set)
@@ -850,15 +666,14 @@ class ArenaFaultSim:
     ) -> Tuple[Set[Fault], int]:
         """Detected subset of ``faults`` plus the number of lane blocks run.
 
-        Bit-identical to the interpreted and compiled backends for any mix
-        of X inputs, initial flip-flop state and extra observe points.
+        Bit-identical to the interpreted oracle for any mix of X inputs,
+        initial flip-flop state and extra observe points.
         """
         from repro.obs import counter
 
         if not faults:
             return set(), 0
-        planes, ever_o, ever_z, token = self._good_pass(vectors,
-                                                        initial_state)
+        planes, ever_o, ever_z = self._good_pass(vectors, initial_state)
         arena = self.arena
         obs_points: Set[int] = set(arena.pos)
         if extra_observables:
@@ -873,44 +688,14 @@ class ArenaFaultSim:
         if not surv:
             return detected, 0
         ordered = arena.cone_pack_order(surv)
-
-        key = (tuple(ordered), tuple(sorted(obs_set)))
-        blocks = self._blocks.get(key)
-        use_codegen = blocks is not None or (
-            len(vectors) >= _env_int("REPRO_ARENA_CODEGEN_MIN_VECTORS",
-                                     CODEGEN_MIN_VECTORS)
-            and len(ordered) >= _env_int("REPRO_ARENA_CODEGEN_MIN_FAULTS",
-                                         CODEGEN_MIN_FAULTS))
-        results = []
-        if use_codegen:
-            if blocks is None:
-                counter("fault_sim.arena.codegen_builds").inc()
-                parts = self._partition(ordered, base=max(lanes, 64))
-                blocks = [
-                    self._build_codegen_block(blk, cone, obs_set)
-                    for blk, cone, _ng in parts
-                ]
-                self._blocks[key] = blocks
-                while len(self._blocks) > 8:
-                    self._blocks.popitem(last=False)
-            else:
-                counter("fault_sim.arena.block_cache_hits").inc()
-                self._blocks.move_to_end(key)
-            for b in blocks:
-                det, present = self._run_codegen_block(b, planes, token,
-                                                       initial_state)
-                results.append((b["blk"], det, present))
-        else:
-            counter("fault_sim.arena.fallback_calls").inc()
-            for start in range(0, len(ordered), lanes):
-                blk = ordered[start:start + lanes]
-                det, present = self._run_interp_block(blk, planes,
-                                                      initial_state, obs_set)
-                results.append((blk, det, present))
-
-        early = 0
+        blocks = 0
         filled = 0
-        for blk, det, present in results:
+        early = 0
+        for start in range(0, len(ordered), lanes):
+            blk = ordered[start:start + lanes]
+            det, present = self._run_interp_block(blk, planes,
+                                                  initial_state, obs_set)
+            blocks += 1
             filled += bin(present).count("1")
             if det == present:
                 early += 1
@@ -918,10 +703,10 @@ class ArenaFaultSim:
                 li = (det & -det).bit_length() - 1
                 detected.add(blk[li])
                 det &= det - 1
-        counter("fault_sim.arena.passes").inc(len(results))
+        counter("fault_sim.arena.passes").inc(blocks)
         counter("fault_sim.arena.lanes_filled").inc(filled)
         counter("fault_sim.arena.early_exits").inc(early)
-        return detected, len(results)
+        return detected, blocks
 
     # -- transient (SEU) faults ----------------------------------------------
 
@@ -953,8 +738,7 @@ class ArenaFaultSim:
 
         if not faults:
             return set(), 0
-        planes, _ever_o, _ever_z, _token = self._good_pass(vectors,
-                                                           initial_state)
+        planes, _ever_o, _ever_z = self._good_pass(vectors, initial_state)
         arena = self.arena
         obs_points: Set[int] = set(arena.pos)
         if extra_observables:
@@ -1131,14 +915,40 @@ class ArenaFaultSim:
         return det, full
 
 
-_SIMS: "WeakKeyDictionary[NetlistArena, ArenaFaultSim]" = WeakKeyDictionary()
+
+_SIMS: "WeakKeyDictionary[Netlist, ArenaFaultSim]" = WeakKeyDictionary()
 
 
-def get_arena_sim(arena: NetlistArena) -> ArenaFaultSim:
-    """The shared :class:`ArenaFaultSim` for an arena: every facade over
-    the same arena object reuses one good-plane memo and block cache."""
-    sim = _SIMS.get(arena)
-    if sim is None:
-        sim = ArenaFaultSim(arena)
-        _SIMS[arena] = sim
+def get_arena_sim(netlist: Netlist) -> ArenaFaultSim:
+    """The shared :class:`ArenaFaultSim` for ``netlist``.
+
+    One simulator per netlist object, rebuilt when the netlist grew
+    (append-only mutation is the only kind this codebase performs), so
+    every simulator facade over it shares one set of good-machine chunks
+    and one good-plane memo.  The simulator holds the arena, never the
+    netlist: the cache entry dies with its netlist.  Across processes the
+    pickled arena is memoized in the artifact store under the ``arena``
+    stage, keyed by the netlist fingerprint.
+    """
+    sim = _SIMS.get(netlist)
+    current = (netlist.num_nets, len(netlist.gates), len(netlist.pis),
+               len(netlist.pos))
+    if sim is not None and sim.arena.fingerprint == current:
+        return sim
+
+    from repro.store import get_store, netlist_fingerprint
+
+    store = get_store()
+    key = {"netlist": netlist_fingerprint(netlist)}
+    arena = store.get("arena", key)
+    if not (isinstance(arena, NetlistArena)
+            and arena.fingerprint == current):
+        arena = NetlistArena.from_netlist(netlist)
+        store.put("arena", key, arena)
+    sim = _SIMS[netlist] = ArenaFaultSim(arena)
     return sim
+
+
+def get_arena(netlist: Netlist) -> NetlistArena:
+    """The cached arena encoding of ``netlist`` (see :func:`get_arena_sim`)."""
+    return get_arena_sim(netlist).arena

@@ -55,7 +55,7 @@ class AtpgOptions:
     # None grades the full universe.
     transient_sample: Optional[int] = 256
     fault_sim_lanes: int = DEFAULT_LANES
-    # None defers to the session default (compiled unless REPRO_SIM_BACKEND
+    # None defers to the session default (arena unless REPRO_SIM_BACKEND
     # says otherwise); set "interpreted" to run against the reference oracle.
     fault_sim_backend: Optional[str] = None
     # PODEM worker processes for the deterministic phase: 1 = serial,

@@ -13,12 +13,10 @@ simulator enforces.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.synth.netlist import CONST0, CONST1, GateType, Netlist
-from repro.atpg.compiled import (compiled_detected_faults, cone_pack_order,
-                                 get_compiled, resolve_backend,
-                                 site_rank_map)
+from repro.atpg.arena import get_arena_sim, resolve_backend
 from repro.atpg.faults import Fault, TransientFault
 
 Vector = Mapping[int, int]  # PI net -> 0 or 1 (missing = X)
@@ -28,12 +26,12 @@ Vector = Mapping[int, int]  # PI net -> 0 or 1 (missing = X)
 # than hard-coding their own number.
 DEFAULT_LANES = 512
 
-# Below these sizes a fork pool costs more than it saves (arm_alu's 1440
-# faults run parallel(j=4) at 0.61x serial): pool spin-up, per-worker
-# codegen warm-up and result pickling dominate the tiny simulation.  Both
-# the fault simulator and the ATPG engine consult :func:`should_parallelize`
-# so small designs silently stay serial; the ``REPRO_PARALLEL_MIN_*``
-# environment knobs let tests and smoke jobs lower the floor.
+# Below these sizes a fork pool costs more than it saves (arm_alu benched
+# at 0.61x serial with a forced pool): pool spin-up, per-worker warm-up and
+# result pickling dominate the small workload.  The ATPG engine consults
+# :func:`should_parallelize` before forking PODEM workers, so small designs
+# silently stay serial; the ``REPRO_PARALLEL_MIN_*`` environment knobs let
+# tests and smoke jobs lower the floor.
 MIN_PARALLEL_FAULTS = 2000
 MIN_PARALLEL_GATES = 1000
 
@@ -64,7 +62,7 @@ def parallelize_decision(jobs: int, num_faults: int,
     """Is a fork worker pool worth it for this workload, and if not, why?
 
     Returns ``(False, reason)`` when only one worker is available, when
-    the platform cannot fork (workers inherit netlists and compiled code
+    the platform cannot fork (workers inherit netlists and generated code
     by address-space copy, not pickling), when the host has only one
     usable core (a pool would timeshare it and lose), or when the
     workload sits below the small-design thresholds where pool overhead
@@ -102,35 +100,23 @@ class FaultSimulator:
     ``backend="arena"`` (default) runs the struct-of-arrays word-parallel
     simulation of :mod:`repro.atpg.arena`: one memoized good-machine pass,
     a provably-exact undetectability filter, and cone-partitioned lane
-    blocks (generated or interpreted depending on workload size).
-    ``backend="compiled"`` runs the cone-partitioned simulation of
-    :mod:`repro.atpg.compiled`; ``backend="interpreted"`` walks the full
-    flat gate list per block — slowest, kept as the reference oracle.
-    Detected-fault sets are bit-identical across all three.
-
-    ``arena`` optionally supplies a pre-built (possibly unpickled)
-    :class:`~repro.atpg.arena.NetlistArena` so workers skip re-deriving
-    topology from the netlist object graph.
+    blocks.  ``backend="interpreted"`` walks the full flat gate list per
+    block — slowest, kept as the reference oracle.  Detected-fault sets are
+    bit-identical across both.
     """
 
     def __init__(self, netlist: Netlist, lanes: int = DEFAULT_LANES,
-                 backend: Optional[str] = None, arena=None):
+                 backend: Optional[str] = None):
         if lanes < 2:
             raise ValueError("need at least two lanes (good + one fault)")
         self.netlist = netlist
         self.lanes = lanes
         self.backend = resolve_backend(backend)
         self._dffs = netlist.dffs()
-        self._compiled = None
         self._arena_sim = None
         self._flat = []
         if self.backend == "arena":
-            from repro.atpg.arena import get_arena, get_arena_sim
-
-            self._arena_sim = get_arena_sim(
-                arena if arena is not None else get_arena(netlist))
-        elif self.backend == "compiled":
-            self._compiled = get_compiled(netlist)
+            self._arena_sim = get_arena_sim(netlist)
         else:
             # Pre-extract (type, output, inputs) for the hot loop.
             self._flat = [(g.type, g.output, g.inputs)
@@ -163,11 +149,6 @@ class FaultSimulator:
                 found, nblk = self._arena_sim.detected_faults(
                     vectors, stuck, initial_state=initial_state,
                     extra_observables=extra_observables, lanes=self.lanes,
-                )
-            elif self._compiled is not None:
-                found, nblk = compiled_detected_faults(
-                    self._compiled, vectors, stuck, initial_state,
-                    extra_observables, self.lanes,
                 )
             else:
                 found = set()
@@ -325,17 +306,14 @@ class FaultSimulator:
         """Dispatch transient faults to the backend-appropriate path.
 
         The arena backend gets its own word-parallel implementation with
-        the good-plane pre-filter; compiled and interpreted both run the
-        flat cycle-gated lane loop below (the compiled cone partitioning
-        gains nothing on one-shot transient populations), which keeps the
-        interpreted oracle and the compiled backend trivially identical.
+        the good-plane pre-filter; the interpreted oracle runs the flat
+        cycle-gated lane loop below.
         """
         if self._arena_sim is not None:
             return self._arena_sim.detected_transients(
                 vectors, transients, initial_state=initial_state,
                 extra_observables=extra_observables, lanes=self.lanes,
             )
-        self._ensure_flat()
         detected: Set[TransientFault] = set()
         block_size = self.lanes - 1
         blocks = 0
@@ -345,11 +323,6 @@ class FaultSimulator:
             detected |= self._simulate_transient_block(
                 vectors, block, initial_state, extra_observables)
         return detected, blocks
-
-    def _ensure_flat(self) -> None:
-        if not self._flat:
-            self._flat = [(g.type, g.output, g.inputs)
-                          for g in self.netlist.topological_order()]
 
     def _simulate_transient_block(
         self, vectors: Sequence[Vector],
@@ -477,102 +450,3 @@ class FaultSimulator:
                 out.add(fault)
         return out
 
-
-# -- fork-parallel fault simulation -------------------------------------------
-#
-# One netlist, one vector sequence, a fault list too big for one core:
-# chunk the cone-packed fault list across a fork pool of FaultSimulators.
-# Lanes never interact, so the union of the chunk detections is exactly the
-# serial detected set.  Workers inherit the netlist (and any compiled code
-# already built in the parent) through fork's address-space copy — nothing
-# is pickled on the way in, only the detected Fault lists on the way out.
-
-_POOL_STATE: Dict[str, object] = {}
-
-
-def _pool_init(netlist: Netlist, vectors: Sequence[Vector],
-               initial_state: Optional[Mapping[int, int]],
-               extra_observables: Optional[Sequence[int]],
-               lanes: int, backend: Optional[str], arena=None) -> None:
-    _POOL_STATE.update(
-        netlist=netlist, vectors=vectors, initial_state=initial_state,
-        extra_observables=extra_observables, lanes=lanes, backend=backend,
-        arena=arena,
-    )
-
-
-def _pool_detect(chunk: Sequence[Fault]) -> List[Fault]:
-    from repro.obs import set_reporter
-
-    set_reporter(None)  # a forked reporter would write the parent's pipe
-    sim = FaultSimulator(_POOL_STATE["netlist"],
-                         lanes=_POOL_STATE["lanes"],
-                         backend=_POOL_STATE["backend"],
-                         arena=_POOL_STATE.get("arena"))
-    return sorted(sim.detected_faults(
-        _POOL_STATE["vectors"], chunk,
-        initial_state=_POOL_STATE["initial_state"],
-        extra_observables=_POOL_STATE["extra_observables"],
-    ))
-
-
-def parallel_detected_faults(
-    netlist: Netlist,
-    vectors: Sequence[Vector],
-    faults: Sequence[Fault],
-    jobs: Optional[int] = None,
-    lanes: int = DEFAULT_LANES,
-    initial_state: Optional[Mapping[int, int]] = None,
-    extra_observables: Optional[Sequence[int]] = None,
-    backend: Optional[str] = None,
-) -> Set[Fault]:
-    """Detected set for ``faults``, fanned out over a fork pool.
-
-    Bit-identical to ``FaultSimulator.detected_faults`` at any worker
-    count.  Small workloads (see :func:`should_parallelize`) run serial
-    in-process — callers never pay the pool tax on arm_alu-sized designs.
-    """
-    from repro.jobs import resolve_jobs
-    from repro.obs import counter, span
-
-    workers = resolve_jobs(jobs)
-    go, reason = parallelize_decision(workers, len(faults),
-                                      len(netlist.gates))
-    if not go:
-        counter("fault_sim.parallel.serial_fallbacks").inc()
-        return FaultSimulator(netlist, lanes=lanes,
-                              backend=backend).detected_faults(
-            vectors, faults, initial_state=initial_state,
-            extra_observables=extra_observables)
-
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Build the arena once, pre-fork: every worker inherits the flat
-    # picklable encoding by address-space copy instead of re-deriving
-    # topological orders and adjacency from the netlist object graph.
-    arena = None
-    if resolve_backend(backend) == "arena":
-        from repro.atpg.arena import get_arena
-
-        arena = get_arena(netlist)
-
-    ordered = cone_pack_order(faults, site_rank_map(netlist))
-    chunk = (len(ordered) + workers - 1) // workers
-    chunks = [ordered[lo:lo + chunk] for lo in range(0, len(ordered), chunk)]
-    _pool_init(netlist, vectors, initial_state, extra_observables, lanes,
-               backend, arena)
-    counter("fault_sim.parallel.runs").inc()
-    counter("fault_sim.parallel.workers").inc(len(chunks))
-    detected: Set[Fault] = set()
-    try:
-        context = multiprocessing.get_context("fork")
-        with span("fault_sim.parallel", workers=len(chunks),
-                  faults=len(faults)):
-            with ProcessPoolExecutor(max_workers=len(chunks),
-                                     mp_context=context) as pool:
-                for part in pool.map(_pool_detect, chunks):
-                    detected.update(part)
-    finally:
-        _POOL_STATE.clear()
-    return detected

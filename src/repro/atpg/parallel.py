@@ -44,8 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.obs import MetricsRegistry, Span, counter, gauge, get_registry, \
     histogram, progress, set_reporter, wall_clock
 from repro.obs.trace import TraceContext
-from repro.atpg.compiled import (cone_pack_order, resolve_backend,
-                                 site_rank_map)
+from repro.atpg.arena import NetlistArena, get_arena
 from repro.atpg.engine import PodemCommitState, SequentialAtpg
 from repro.atpg.faults import Fault
 
@@ -62,7 +61,7 @@ _MAX_REQUEUES = 2
 _POLL_S = 0.5
 
 
-def shard_faults(faults: List[Fault], rank: Dict[int, int],
+def shard_faults(faults: List[Fault], arena: NetlistArena,
                  jobs: int) -> List[List[Fault]]:
     """Cone-packed fault list chopped into work-stealing shards.
 
@@ -71,7 +70,7 @@ def shard_faults(faults: List[Fault], rank: Dict[int, int],
     dispatched), large shards amortize dispatch.  ~16 shards per worker
     keeps the tail short without flooding the pipes.
     """
-    ordered = cone_pack_order(faults, rank)
+    ordered = arena.cone_pack_order(faults)
     size = max(4, min(64, len(ordered) // max(1, jobs * 16)))
     return [ordered[i:i + size] for i in range(0, len(ordered), size)]
 
@@ -136,8 +135,8 @@ class _Coordinator:
         self.jobs = jobs
         self.parent_span = parent_span
         pending = [f for f in commit.faults if f in commit.remaining]
-        rank = site_rank_map(seq.netlist)
-        self.shards: List[List[Fault]] = shard_faults(pending, rank, jobs)
+        self.shards: List[List[Fault]] = shard_faults(
+            pending, get_arena(seq.netlist), jobs)
         self.initial_shards = len(self.shards)
         self.assigned: List[deque] = [deque() for _ in range(jobs)]
         for sid in range(len(self.shards)):
@@ -425,16 +424,11 @@ def run_parallel_podem(seq: SequentialAtpg, commit: PodemCommitState,
     tests, same order); see the module docstring for why that holds.
     """
     # Build the unrolled models once, pre-fork: every worker inherits
-    # them copy-on-write instead of rebuilding per process.
+    # them copy-on-write instead of rebuilding per process.  The netlist
+    # arena the coordinator shards with is inherited the same way, and
+    # serves the workers' cross-simulation on the arena backend.
     for frames in seq.options.schedule():
         seq.model(frames)
-    # Likewise the netlist arena: cross-simulation inside each worker runs
-    # on the arena backend by default, and the flat picklable encoding is
-    # cheap to inherit but wasteful to re-derive per fork.
-    if resolve_backend(seq.options.fault_sim_backend) == "arena":
-        from repro.atpg.arena import get_arena
-
-        get_arena(seq.netlist)
     coordinator = _Coordinator(seq, commit, jobs, parent_span)
     if not coordinator.shards:
         return

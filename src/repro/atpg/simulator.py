@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.synth.netlist import CONST0, CONST1, GateType, Netlist
-from repro.atpg.compiled import NetValues, get_compiled, resolve_backend
+from repro.atpg.arena import NetValues, get_arena_sim, resolve_backend
 
 Mask = Tuple[int, int]  # (ones, zeros)
 
@@ -59,10 +59,10 @@ class LogicSimulator:
     sequence must be applied to initialise it, exactly the situation a
     sequential ATPG tool faces.
 
-    ``backend`` selects the evaluation strategy: ``"arena"`` (default) and
-    ``"compiled"`` both run code generated per netlist by
-    :mod:`repro.atpg.compiled` (the arena's good machine *is* that code),
-    ``"interpreted"`` walks the gate list — all produce identical values.
+    ``backend`` selects the evaluation strategy: ``"arena"`` (default) runs
+    the good-machine code the arena fault simulator generates for the
+    netlist (:mod:`repro.atpg.arena`), ``"interpreted"`` walks the gate
+    list — both produce identical values.
     """
 
     def __init__(self, netlist: Netlist, width: int = 1,
@@ -72,11 +72,12 @@ class LogicSimulator:
         self.full = (1 << width) - 1
         self.backend = resolve_backend(backend)
         self._dffs = netlist.dffs()
-        if self.backend in ("arena", "compiled"):
-            self._compiled = get_compiled(netlist)
-            self._order = self._compiled.order
+        self._chunks = None
+        if self.backend == "arena":
+            sim = get_arena_sim(netlist)
+            self._chunks = sim.chunks()
+            self._num_nets = sim.arena.num_nets
         else:
-            self._compiled = None
             self._order = netlist.topological_order()
         self.reset_state()
 
@@ -97,8 +98,8 @@ class LogicSimulator:
         Returns the full net-value map for the cycle (also kept in
         ``self.values``); flip-flop state advances to the new D values.
         """
-        if self._compiled is not None:
-            return self._step_compiled(pi_values)
+        if self._chunks is not None:
+            return self._step_arena(pi_values)
         full = self.full
         values: Dict[int, Mask] = {CONST0: (0, full), CONST1: (full, 0)}
         for pi in self.netlist.pis:
@@ -115,12 +116,14 @@ class LogicSimulator:
         }
         return values
 
-    def _step_compiled(self, pi_values: Mapping[int, Mask]
-                       ) -> Mapping[int, Mask]:
-        cn = self._compiled
+    def _step_arena(self, pi_values: Mapping[int, Mask]
+                    ) -> Mapping[int, Mask]:
         full = self.full
-        flat = cn.fresh_values(full)
-        for pi in cn.pis:
+        num_nets = self._num_nets
+        flat = [0] * (2 * num_nets)
+        flat[2 * CONST0 + 1] = full  # const0: zeros mask
+        flat[2 * CONST1] = full  # const1: ones mask
+        for pi in self.netlist.pis:
             ones, zeros = pi_values.get(pi, (0, 0))
             i = 2 * pi
             flat[i] = ones
@@ -131,8 +134,9 @@ class LogicSimulator:
             i = 2 * dff.output
             flat[i] = ones
             flat[i + 1] = zeros
-        cn.eval_into(flat, full)
-        values = NetValues(flat, cn.num_nets)
+        for chunk in self._chunks:
+            chunk(flat, full)
+        values = NetValues(flat, num_nets)
         self.values = values
         self.state = {
             dff.output: (flat[2 * dff.inputs[0]],

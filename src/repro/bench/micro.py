@@ -4,16 +4,9 @@ Two differential benchmark suites, each timed with the observability CPU
 clock and written as a ``BENCH_*.json`` payload next to the table output:
 
 - **fault_sim** — the same (vectors, faults) workload through the
-  interpreted reference simulator, the compiled/cone-partitioned
-  backend and the arena lane-block backend.  The detected sets must be
-  identical across all three; the row records CPU times and throughput
-  ratios (``speedup_x`` interpreted/compiled, ``arena_x``
-  compiled/arena).  With ``--jobs > 1`` an extra row partitions the
-  fault list across a process pool and checks the union of the chunk
-  detections against the serial run — when the pool helper declines to
-  fork (too few cores, faults or gates) the row is labelled
-  ``serial-fallback(j=N)`` and carries the exact reason, so a
-  ``parallel`` label always means a real pool ran.
+  interpreted reference simulator and the arena lane-block backend.  The
+  detected sets must be identical; the row records CPU times and the
+  throughput ratio ``arena_x`` (interpreted/arena).
 - **atpg** — one deterministic small ATPG configuration run with each
   backend; coverage, efficiency, detections and vector counts must be
   bit-identical (the backend may only change speed, never results).
@@ -34,9 +27,7 @@ import tempfile
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.engine import AtpgEngine, AtpgOptions
-from repro.atpg.fault_sim import (FaultSimulator, available_cores,
-                                  parallel_detected_faults,
-                                  parallelize_decision)
+from repro.atpg.fault_sim import FaultSimulator, available_cores
 from repro.atpg.faults import Fault, build_fault_list
 from repro.bench.experiments import resolve_jobs
 from repro.core.report import format_table
@@ -84,9 +75,9 @@ def _timed_detect(netlist: Netlist, backend: str,
     """Detected set and best-of-``repeats`` CPU seconds for one backend.
 
     An untimed warmup over the full workload first populates the
-    per-netlist caches (generated good-machine code, arena lane blocks,
-    fanout adjacency), so the row reports steady-state throughput — the
-    regime every ATPG run after the first operates in.
+    per-netlist caches (generated good-machine code, the netlist arena),
+    so the row reports steady-state throughput — the regime every ATPG
+    run after the first operates in.
     """
     sim = FaultSimulator(netlist, backend=backend)
     sim.detected_faults(vectors, faults)
@@ -106,12 +97,11 @@ def _kfvs(faults: int, vectors: int, seconds: float) -> float:
     return faults * vectors / max(seconds, 1e-9) / 1000.0
 
 
-def fault_sim_rows(quick: bool = False, seed: int = 2002,
-                   jobs: Optional[int] = None) -> List[Dict[str, object]]:
-    """Differential interpreted/compiled/arena fault simulation rows."""
+def fault_sim_rows(quick: bool = False,
+                   seed: int = 2002) -> List[Dict[str, object]]:
+    """Differential interpreted/arena fault simulation rows."""
     designs = ["arm_alu"] if quick else ["arm_alu", "arm2"]
     count = 8 if quick else 16
-    jobs = resolve_jobs(jobs)
     rows: List[Dict[str, object]] = []
     for name in designs:
         netlist = _bench_netlist(name)
@@ -120,68 +110,24 @@ def fault_sim_rows(quick: bool = False, seed: int = 2002,
         repeats = 1 if quick else 2
         interp, interp_s = _timed_detect(netlist, "interpreted",
                                          vectors, faults, repeats)
-        compiled, compiled_s = _timed_detect(netlist, "compiled",
-                                             vectors, faults, repeats)
         arena, arena_s = _timed_detect(netlist, "arena",
                                        vectors, faults, repeats)
-        match = interp == compiled == arena
+        match = interp == arena
         if not match:
             _LOG.error("fault_sim.mismatch", design=name,
-                       interpreted=len(interp), compiled=len(compiled),
-                       arena=len(arena))
+                       interpreted=len(interp), arena=len(arena))
         rows.append({
             "design": name,
-            "mode": "serial",
             "faults": len(faults),
             "vectors": count,
             "interp_s": round(interp_s, 3),
-            "compiled_s": round(compiled_s, 3),
             "arena_s": round(arena_s, 3),
             "interp_kfv_s": round(_kfvs(len(faults), count, interp_s), 1),
-            "compiled_kfv_s": round(_kfvs(len(faults), count, compiled_s), 1),
             "arena_kfv_s": round(_kfvs(len(faults), count, arena_s), 1),
-            "speedup_x": round(interp_s / max(compiled_s, 1e-9), 2),
-            "arena_x": round(compiled_s / max(arena_s, 1e-9), 2),
+            "arena_x": round(interp_s / max(arena_s, 1e-9), 2),
             "detected": len(arena),
             "match": match,
         })
-        if jobs > 1:
-            # The pool helper declines to fork when the host or workload
-            # is too small (arm_alu used to bench at 0.61x with a forced
-            # pool).  Label the row honestly: ``parallel(j=N)`` only when
-            # a real pool runs, ``serial-fallback(j=N)`` plus the exact
-            # reason otherwise.
-            go, reason = parallelize_decision(jobs, len(faults),
-                                              len(netlist.gates))
-            with span("bench.fault_sim", backend="arena-parallel",
-                      design=name, jobs=jobs) as sp:
-                union = parallel_detected_faults(
-                    netlist, vectors, faults, jobs=jobs,
-                    backend="arena")
-            par_match = union == arena
-            if not par_match:
-                _LOG.error("fault_sim.parallel_mismatch", design=name,
-                           serial=len(arena), parallel=len(union))
-            # Worker CPU time is invisible to the parent's CPU clock, so
-            # the parallel row reports wall seconds (includes pool setup).
-            par_s = sp.wall_seconds
-            rows.append({
-                "design": name,
-                "mode": (f"parallel(j={jobs})" if go
-                         else f"serial-fallback(j={jobs})"),
-                "workers": jobs if go else 1,
-                "fallback_reason": reason or "",
-                "faults": len(faults),
-                "vectors": count,
-                "interp_s": round(interp_s, 3),
-                "arena_par_s": round(par_s, 3),
-                "interp_kfv_s": round(_kfvs(len(faults), count, interp_s), 1),
-                "arena_par_kfv_s": round(
-                    _kfvs(len(faults), count, par_s), 1),
-                "speedup_x": round(interp_s / max(par_s, 1e-9), 2),
-                "detected": len(union),
-                "match": par_match,
-            })
     return rows
 
 
@@ -298,7 +244,7 @@ def atpg_rows(quick: bool = False, seed: int = 2002,
     )
     rows: List[Dict[str, object]] = []
     reports = {}
-    for backend in ("interpreted", "compiled", "arena"):
+    for backend in ("interpreted", "arena"):
         engine = AtpgEngine(netlist, AtpgOptions(
             fault_sim_backend=backend, **opts))
         with span("bench.atpg", backend=backend) as sp:
@@ -313,14 +259,11 @@ def atpg_rows(quick: bool = False, seed: int = 2002,
             "vectors": report.num_vectors,
             "cpu_s": round(sp.cpu_seconds, 3),
         })
-    a = reports["interpreted"]
-    match = all(
-        a.coverage_percent == b.coverage_percent
-        and a.efficiency_percent == b.efficiency_percent
-        and a.detected == b.detected
-        and a.num_vectors == b.num_vectors
-        for b in (reports["compiled"], reports["arena"])
-    )
+    a, b = reports["interpreted"], reports["arena"]
+    match = (a.coverage_percent == b.coverage_percent
+             and a.efficiency_percent == b.efficiency_percent
+             and a.detected == b.detected
+             and a.num_vectors == b.num_vectors)
     if not match:
         _LOG.error("atpg.backend_mismatch", rows=rows)
     for row in rows:
@@ -518,8 +461,8 @@ def run_bench(out_dir: str = "benchmarks/results", quick: bool = False,
                          f"(choose from {', '.join(ALL_SUITES)})")
     catalogue = {
         "fault_sim": (
-            "Fault simulation: interpreted vs compiled vs arena backend",
-            lambda: fault_sim_rows(quick=quick, seed=seed, jobs=jobs)),
+            "Fault simulation: interpreted vs arena backend",
+            lambda: fault_sim_rows(quick=quick, seed=seed)),
         "atpg": (
             "ATPG backend equivalence (arm_alu) + "
             "serial-vs-parallel PODEM (arm2)",

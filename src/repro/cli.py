@@ -26,8 +26,8 @@ Subcommands:
 - ``stats``        netlist statistics for the whole design (or one module),
 - ``piers``        list PI/PO-accessible registers,
 - ``bench``        differential simulation-backend benchmarks (interpreted
-                   vs compiled vs arena fault simulation plus an ATPG
-                   equivalence check); writes ``BENCH_*.json``, exits 1 on
+                   vs arena fault simulation plus an ATPG equivalence
+                   check); writes ``BENCH_*.json``, exits 1 on
                    mismatch,
 - ``serve``        resident ATPG job server (queueing, admission control,
                    request coalescing, graceful drain; see docs/serving.md),
@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="disable PIER pseudo PI/PO")
         p.add_argument("--seed", type=int, default=2002)
         p.add_argument("--backend",
-                       choices=["arena", "compiled", "interpreted"],
+                       choices=["arena", "interpreted"],
                        help="fault-simulation backend (default: arena, "
                             "or REPRO_SIM_BACKEND)")
         p.add_argument("--fault-model",
@@ -360,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--backtrack-limit", type=int, default=300)
     p_submit.add_argument("--seed", type=int, default=2002)
     p_submit.add_argument("--backend",
-                          choices=["arena", "compiled", "interpreted"])
+                          choices=["arena", "interpreted"])
     p_submit.add_argument("--fault-model",
                           choices=["stuck", "transient", "both"],
                           default="stuck",

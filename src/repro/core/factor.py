@@ -158,7 +158,7 @@ class Factor:
         returns the stored report (including the timing fields of the run
         that computed it) without re-running PODEM or fault simulation.
         """
-        from repro.atpg.compiled import resolve_backend
+        from repro.atpg.arena import resolve_backend
 
         opts = options or AtpgOptions()
         opts.fault_region = result.transformed.mut_region

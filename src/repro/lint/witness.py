@@ -21,7 +21,7 @@ Witnesses are plain dicts (JSON-able, store-friendly); the
 :func:`replay_witness` helper re-simulates a vector-pair witness on any
 backend and checks that the claimed blockage is still exhibited — the
 seeded differential test replays every emitted witness on both the
-interpreted and compiled simulators.
+interpreted and arena simulators.
 """
 
 from __future__ import annotations

@@ -139,10 +139,9 @@ class JobSpec:
         if self.mode not in ("compose", "conventional"):
             raise ProtocolError(
                 f"bad mode {self.mode!r}; expected compose|conventional")
-        if self.backend not in (None, "arena", "compiled", "interpreted"):
+        if self.backend not in (None, "arena", "interpreted"):
             raise ProtocolError(
-                f"bad backend {self.backend!r}; "
-                "expected arena|compiled|interpreted")
+                f"bad backend {self.backend!r}; expected arena|interpreted")
         if self.fault_model not in ("stuck", "transient", "both"):
             raise ProtocolError(
                 f"bad fault_model {self.fault_model!r}; "

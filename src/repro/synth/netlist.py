@@ -214,37 +214,6 @@ class Netlist:
                     f"primary output {self.po_name(net)} is floating"
                 )
 
-    def fanout_adjacency(self, through_dffs: bool = True
-                         ) -> Dict[int, List[int]]:
-        """Map net -> output nets of the gates reading it (one step of
-        fanout).  With ``through_dffs`` the D->Q edge of every flip-flop is
-        included, so reachability over this adjacency is *sequential*
-        fanout."""
-        adj: Dict[int, List[int]] = {}
-        for gate in self.gates:
-            if gate.type is GateType.DFF and not through_dffs:
-                continue
-            for inp in gate.inputs:
-                adj.setdefault(inp, []).append(gate.output)
-        return adj
-
-    def fanout_cone(self, nets, through_dffs: bool = True) -> Set[int]:
-        """Transitive fanout of a net (or collection of nets), including the
-        nets themselves.  This is the set of nets a stuck-at fault on any of
-        ``nets`` can possibly influence."""
-        if isinstance(nets, int):
-            nets = (nets,)
-        adj = self.fanout_adjacency(through_dffs=through_dffs)
-        seen: Set[int] = set(nets)
-        stack = list(seen)
-        while stack:
-            net = stack.pop()
-            for down in adj.get(net, ()):
-                if down not in seen:
-                    seen.add(down)
-                    stack.append(down)
-        return seen
-
     def levels(self, order: Optional[List[Gate]] = None) -> Dict[int, int]:
         """Combinational depth of each net within a frame: constants, PIs
         and flip-flop outputs sit at level 0, a gate output one above its

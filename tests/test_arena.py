@@ -1,16 +1,17 @@
 """Differential tests for the arena fault-simulation backend.
 
 The arena backend (struct-of-arrays netlist encoding, memoized good-machine
-pass, exact undetectability filter, cone-partitioned lane blocks in both
-generated and interpreted form) must produce detected-fault sets
-bit-identical to the interpreted oracle and the compiled backend on every
-netlist — including X inputs, preset flip-flop state, Q-net primary outputs
-and extra observe points — and the arena itself must survive a pickle round
-trip unchanged.
+pass, exact undetectability filter, cone-partitioned lane blocks) must
+produce detected-fault sets bit-identical to the interpreted oracle on
+every netlist — including X inputs, preset flip-flop state, Q-net primary
+outputs and extra observe points — at any lane width, and the arena itself
+must survive a pickle round trip unchanged.
 """
 
+import gc
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -18,15 +19,23 @@ from repro.atpg.arena import (ArenaFaultSim, NetlistArena, get_arena,
                               get_arena_sim)
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import build_fault_list
+from repro.atpg.simulator import LogicSimulator
 from repro.synth.netlist import GateType
 
-from tests.test_compiled import random_bit_vectors, random_netlist
+from tests.sim_helpers import random_bit_vectors, random_netlist
 
 
-def detect(nl, backend, vectors, faults, initial_state=None, extra=None):
-    sim = FaultSimulator(nl, backend=backend)
+def detect(nl, backend, vectors, faults, initial_state=None, extra=None,
+           lanes=512):
+    sim = FaultSimulator(nl, lanes=lanes, backend=backend)
     return sim.detected_faults(vectors, faults, initial_state=initial_state,
                                extra_observables=extra)
+
+
+# The three simulator configurations every differential case compares: the
+# interpreted oracle, the arena at the default lane width (one block on
+# these netlists) and the arena cut into many narrow cone-packed blocks.
+CONFIGS = (("interpreted", 512), ("arena", 512), ("arena", 5))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
@@ -34,10 +43,11 @@ def test_three_backend_equality(seed):
     nl = random_netlist(seed, num_pis=6, num_dffs=4, num_gates=40)
     vectors = random_bit_vectors(nl, cycles=12, seed=seed + 100, x_rate=0.25)
     faults = build_fault_list(nl)
-    interp = detect(nl, "interpreted", vectors, faults)
-    compiled = detect(nl, "compiled", vectors, faults)
-    arena = detect(nl, "arena", vectors, faults)
-    assert interp == compiled == arena
+    interp, arena, narrow = (
+        detect(nl, backend, vectors, faults, lanes=lanes)
+        for backend, lanes in CONFIGS
+    )
+    assert interp == arena == narrow
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -50,31 +60,10 @@ def test_three_backend_equality_with_state_and_observables(seed):
     initial_state = {q: rng.randint(0, 1) for q in qs[:2]}
     extra = [g.output for g in nl.gates[:3] if g.type is not GateType.DFF]
     results = [
-        detect(nl, backend, vectors, faults, initial_state, extra)
-        for backend in ("interpreted", "compiled", "arena")
+        detect(nl, backend, vectors, faults, initial_state, extra, lanes)
+        for backend, lanes in CONFIGS
     ]
     assert results[0] == results[1] == results[2]
-
-
-def test_codegen_and_interp_paths_agree(monkeypatch):
-    """Force the generated-block path on a tiny design and compare with the
-    interpreted-block fallback (and the oracle)."""
-    nl = random_netlist(9, num_pis=6, num_dffs=3, num_gates=35)
-    vectors = random_bit_vectors(nl, cycles=10, seed=901, x_rate=0.2)
-    faults = build_fault_list(nl)
-    oracle = detect(nl, "interpreted", vectors, faults)
-
-    monkeypatch.setenv("REPRO_ARENA_CODEGEN_MIN_FAULTS", "1")
-    monkeypatch.setenv("REPRO_ARENA_CODEGEN_MIN_VECTORS", "1")
-    gen_sim = ArenaFaultSim(get_arena(nl))
-    gen_det, gen_blocks = gen_sim.detected_faults(vectors, faults)
-    assert gen_blocks >= 1
-    assert gen_det == oracle
-
-    monkeypatch.setenv("REPRO_ARENA_CODEGEN_MIN_FAULTS", "10000000")
-    interp_sim = ArenaFaultSim(get_arena(nl))
-    interp_det, _ = interp_sim.detected_faults(vectors, faults)
-    assert interp_det == oracle
 
 
 def test_short_sequences_and_subsets():
@@ -112,8 +101,8 @@ def test_arena_pickle_round_trip_identity():
     # A simulator over the unpickled arena detects the same faults.
     vectors = random_bit_vectors(nl, cycles=8, seed=70, x_rate=0.2)
     faults = build_fault_list(nl)
-    det_orig, _ = get_arena_sim(arena).detected_faults(vectors, faults)
-    det_clone, _ = get_arena_sim(clone).detected_faults(vectors, faults)
+    det_orig, _ = ArenaFaultSim(arena).detected_faults(vectors, faults)
+    det_clone, _ = ArenaFaultSim(clone).detected_faults(vectors, faults)
     assert det_orig == det_clone == detect(nl, "interpreted", vectors, faults)
 
 
@@ -139,22 +128,34 @@ def test_refinement_filter_is_exact():
                 == detect(nl, "interpreted", vectors, faults))
 
 
-def test_cone_pack_order_matches_compiled():
-    from repro.atpg.compiled import cone_pack_order, site_rank_map
-
-    nl = random_netlist(5)
-    faults = build_fault_list(nl)
-    arena = get_arena(nl)
-    assert (arena.cone_pack_order(faults)
-            == cone_pack_order(faults, site_rank_map(nl)))
-
-
 def test_gate_reconstruction_round_trips():
     nl = random_netlist(6)
-    arena = get_arena(nl)
-    from repro.atpg.compiled import get_compiled
-
-    rebuilt = arena.gates()
-    original = get_compiled(nl).order
+    rebuilt = get_arena(nl).gates()
+    original = nl.levelized_order()
     assert [(g.type, g.output, g.inputs) for g in rebuilt] \
         == [(g.type, g.output, g.inputs) for g in original]
+
+
+def test_one_simulator_per_netlist_shares_the_good_machine():
+    """Every facade over a netlist reuses one ArenaFaultSim, so the logic
+    simulator and the fault simulator run the same chunk functions."""
+    nl = random_netlist(10)
+    sim = get_arena_sim(nl)
+    assert FaultSimulator(nl, backend="arena")._arena_sim is sim
+    assert LogicSimulator(nl, backend="arena")._chunks is sim.chunks()
+    assert get_arena(nl) is sim.arena
+
+
+def test_simulator_freed_with_its_netlist():
+    """The per-netlist simulator cache must not keep anything alive: once
+    the netlist is garbage, so are its ArenaFaultSim and arena."""
+    nl = random_netlist(8)
+    fsim = FaultSimulator(nl, backend="arena")
+    fsim.detected_faults(random_bit_vectors(nl, cycles=4, seed=8),
+                         build_fault_list(nl))
+    sim_ref = weakref.ref(fsim._arena_sim)
+    arena_ref = weakref.ref(fsim._arena_sim.arena)
+    del nl, fsim
+    gc.collect()
+    assert sim_ref() is None
+    assert arena_ref() is None

@@ -51,7 +51,8 @@ class TestAtpgJobs:
     def test_multi_mut_serial(self, design_file, capsys):
         rc = main(["atpg", design_file, "--top", "topm",
                    "--mut", "and2", "--mut", "or2",
-                   "--frames", "1", "--backtrack-limit", "10"])
+                   "--frames", "1", "--backtrack-limit", "10",
+                   "--jobs", "1"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "ATPG reports for 2 MUTs (jobs=1)" in out

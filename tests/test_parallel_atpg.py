@@ -16,17 +16,14 @@ import pytest
 
 import repro.atpg.parallel as parallel_mod
 from repro.atpg.engine import AtpgEngine, AtpgOptions
-from repro.atpg.faults import build_fault_list
-from repro.atpg.fault_sim import (FaultSimulator, available_cores,
-                                  parallel_detected_faults,
-                                  should_parallelize)
+from repro.atpg.fault_sim import available_cores, should_parallelize
 from repro.designs import counter_source
 from repro.hierarchy import Design
 from repro.obs import get_registry
 from repro.synth import synthesize
 from repro.verilog.parser import parse_source
 
-from tests.test_compiled import random_netlist
+from tests.sim_helpers import random_netlist
 
 #: Deterministic across processes: the high per-fault time limit means the
 #: backtrack limit always binds first (a CPU-time bound could classify a
@@ -183,31 +180,3 @@ class TestCrashRecovery:
         par = _run(nl, jobs=2)
         _assert_identical(serial, par)
 
-
-class TestParallelFaultSim:
-    def test_union_matches_serial(self, force_parallel):
-        nl = random_netlist(41, num_pis=6, num_dffs=4, num_gates=80)
-        faults = build_fault_list(nl)
-        import random as random_lib
-
-        rng = random_lib.Random(9)
-        vectors = [{pi: rng.randint(0, 1) for pi in nl.pis}
-                   for _ in range(12)]
-        serial = FaultSimulator(nl, backend="compiled").detected_faults(
-            vectors, faults)
-        par = parallel_detected_faults(nl, vectors, faults, jobs=2,
-                                       backend="compiled")
-        assert par == serial
-
-    def test_serial_fallback_counted(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_MIN_FAULTS", raising=False)
-        monkeypatch.delenv("REPRO_PARALLEL_MIN_GATES", raising=False)
-        nl = random_netlist(43, num_gates=30)
-        faults = build_fault_list(nl)
-        vectors = [{pi: 1 for pi in nl.pis}]
-        get_registry().reset()
-        par = parallel_detected_faults(nl, vectors, faults, jobs=4)
-        serial = FaultSimulator(nl).detected_faults(vectors, faults)
-        assert par == serial
-        snap = get_registry().snapshot()
-        assert snap["fault_sim.parallel.serial_fallbacks"]["value"] == 1

@@ -80,10 +80,10 @@ class TestFingerprints:
     def test_atpg_options_fingerprint_tracks_options(self):
         from repro.atpg.engine import AtpgOptions
 
-        base = atpg_options_fingerprint(AtpgOptions(), "compiled")
-        assert base == atpg_options_fingerprint(AtpgOptions(), "compiled")
+        base = atpg_options_fingerprint(AtpgOptions(), "arena")
+        assert base == atpg_options_fingerprint(AtpgOptions(), "arena")
         assert base != atpg_options_fingerprint(
-            AtpgOptions(backtrack_limit=7), "compiled")
+            AtpgOptions(backtrack_limit=7), "arena")
         assert base != atpg_options_fingerprint(AtpgOptions(), "interpreted")
 
     def test_key_fingerprint_separates_stages_and_keys(self, store):

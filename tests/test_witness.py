@@ -114,8 +114,8 @@ endmodule
 
 
 class TestSeededDifferentialReplay:
-    """Satellite: every emitted witness replays identically on the
-    interpreted and the compiled simulator."""
+    """Every emitted witness replays identically on the interpreted and
+    the arena simulator."""
 
     def _witnesses(self):
         with open(CONN_DEMO, "r", encoding="utf-8") as handle:
@@ -133,7 +133,7 @@ class TestSeededDifferentialReplay:
         assert pairs  # conn_demo must yield vector-pair witnesses
         for witness in pairs:
             assert replay_witness(netlist, witness, "interpreted")
-            assert replay_witness(netlist, witness, "compiled")
+            assert replay_witness(netlist, witness, "arena")
 
     def test_witnesses_are_seed_deterministic(self):
         _, first = self._witnesses()
