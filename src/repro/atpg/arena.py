@@ -53,7 +53,13 @@ this differs from textbook PPSFP).  A call proceeds as:
    the union fanout cone of its sites, interpreted over a flat value list,
    with fault injection fused at the sites, X-masks preserved end to end,
    detection against the good planes, and early exit once every injected
-   lane has detected.
+   lane has detected.  One block simulator serves every fault model, each
+   an injection schedule over the same gate program: a stuck-at lane is
+   forced on every cycle, an SEU lane (:class:`TransientFault`) only in
+   its flip cycle, which runs a copy of the program with that cycle's
+   upsets patched in.  (Transition faults, whose lanes hold the previous
+   value when the slow edge fires, run only on the interpreted lane loop
+   of :mod:`repro.atpg.fault_sim`.)
 
 Detected sets are bit-identical to the interpreted oracle;
 ``tests/test_arena.py`` holds the differential suite.
@@ -68,7 +74,7 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
 from weakref import WeakKeyDictionary
 
 from repro.synth.netlist import Gate, GateType, Netlist
-from repro.atpg.faults import Fault, TransientFault
+from repro.atpg.faults import AnyFault, TransientFault
 
 Mask = Tuple[int, int]
 Vector = Mapping[int, int]
@@ -386,14 +392,18 @@ class NetlistArena:
                     stack.append(down)
         return seen
 
-    def cone_pack_order(self, faults: Sequence[Fault]) -> List[Fault]:
+    def cone_pack_order(self, faults: Sequence[AnyFault]
+                        ) -> List[AnyFault]:
         """Faults sorted so neighbouring lanes share fanout cones (PIs,
-        which have no rank, sort first)."""
+        which have no rank, sort first).  Upsets sort after every stuck-at
+        fault, by flip cycle first, so a block of upsets starts
+        simulating at its earliest flip."""
         rank = self.site_rank
         nn = self.num_nets
         return sorted(
             faults,
-            key=lambda f: (rank[f.net] if f.net < nn else -1, f.net, f.value),
+            key=lambda f: (getattr(f, "cycle", -1),
+                           rank[f.net] if f.net < nn else -1, f.net, f.value),
         )
 
 
@@ -515,27 +525,52 @@ class ArenaFaultSim:
         self._good_key = key
         return self._good
 
-    # -- shared block shape --------------------------------------------------
+    # -- lane blocks ----------------------------------------------------------
 
-    def _block_shape(self, blk: Sequence[Fault], cone: Set[int],
-                     obs_set: frozenset):
-        """Everything the block executors need about one lane block:
-        injection-site lane masks, the cone's gate rows, flip-flops,
-        boundary nets (read by the cone but produced outside it — they
-        broadcast the shared good value) and observe points."""
+    def _run_block(self, blk: Sequence[AnyFault], planes,
+                   initial_state: Optional[Mapping[int, int]],
+                   obs_set: frozenset):
+        """One lane block: the union fanout cone of the block's sites
+        interpreted over a flat value list, with injection fused at the
+        sites, detection against the good planes and early exit once
+        every lane has detected.
+
+        Each cycle runs one gate program.  Stuck-at lanes are forced on
+        every cycle, so their masks live in the every-cycle program
+        (``fills`` for sites no cone gate produces, the producing gate's
+        entry otherwise).  An upset is forced only in its flip cycle,
+        which runs a list copy of that program with the cycle's upsets
+        patched in.  A block of upsets alone starts at its earliest flip,
+        with the cone's flip-flops seeded from the good plane of the
+        preceding cycle: before its first injection every lane equals the
+        good machine, so nothing can detect there.
+        """
         arena = self.arena
-        gate_out, fanin, fanin_off = (arena.gate_out, arena.fanin,
-                                      arena.fanin_off)
-        site_lanes: Dict[int, Mask] = {}
+        fanin, fanin_off = arena.fanin, arena.fanin_off
+        gate_op, gate_out = arena.gate_op, arena.gate_out
+        dff_q, dff_d = arena.dff_q, arena.dff_d
+        lanes = len(blk)
+        full = (1 << lanes) - 1
+
+        # net -> (force1, force0) lane masks: stuck-at lanes in ``every``,
+        # upsets under their flip cycle in ``flips``.
+        every: Dict[int, Mask] = {}
+        flips: Dict[int, Dict[int, Mask]] = {}
         for li, f in enumerate(blk):
-            m1, m0 = site_lanes.get(f.net, (0, 0))
+            per = (flips.setdefault(f.cycle, {})
+                   if isinstance(f, TransientFault) else every)
+            m1, m0 = per.get(f.net, (0, 0))
             if f.value == 1:
                 m1 |= 1 << li
             else:
                 m0 |= 1 << li
-            site_lanes[f.net] = (m1, m0)
+            per[f.net] = (m1, m0)
+
+        # The cone's gate rows and flip-flops, boundary nets (read by the
+        # cone but produced outside it: they broadcast the shared good
+        # value) and observe points.
+        cone = arena.cone_of({f.net for f in blk})
         cone_gis = [gi for gi in range(len(gate_out)) if gate_out[gi] in cone]
-        dff_q, dff_d = arena.dff_q, arena.dff_d
         cone_dks = [k for k in range(len(dff_q)) if dff_q[k] in cone]
         innets: Set[int] = set()
         for gi in cone_gis:
@@ -543,64 +578,62 @@ class ArenaFaultSim:
         for k in cone_dks:
             innets.add(dff_d[k])
         comb_out = {gate_out[gi] for gi in cone_gis}
-        qs = [dff_q[k] for k in cone_dks]
-        produced = comb_out | set(qs)
-        bound = sorted((innets | cone) - produced)
-        obs = sorted(obs_set & cone)
-        site_order = sorted(site_lanes)
-        return dict(
-            lanes=len(blk), site_lanes=site_lanes, site_order=site_order,
-            cone_gis=cone_gis, cone_dks=cone_dks, comb_out=comb_out,
-            bound=bound, obs=obs,
-        )
+        produced = comb_out | {dff_q[k] for k in cone_dks}
+        bound2 = [2 * n for n in sorted((innets | cone) - produced)]
+        obs2 = [2 * p for p in sorted(obs_set & cone)]
+        dffs = [(2 * dff_q[k], 2 * dff_d[k]) for k in cone_dks]
 
-    # -- lane blocks ----------------------------------------------------------
-
-    def _run_interp_block(self, blk: Sequence[Fault], planes,
-                          initial_state: Optional[Mapping[int, int]],
-                          obs_set: frozenset):
-        """One lane block of stuck-at faults: the union fanout cone of the
-        block's sites interpreted over a flat value list, with injection
-        fused at the sites, detection against the good planes and early
-        exit once every lane has detected."""
-        arena = self.arena
-        cone = arena.cone_of({f.net for f in blk})
-        shape = self._block_shape(blk, cone, obs_set)
-        lanes = shape["lanes"]
-        full = (1 << lanes) - 1
-        site_lanes = shape["site_lanes"]
-        comb_out = shape["comb_out"]
-        fanin, fanin_off = arena.fanin, arena.fanin_off
-        gate_op, gate_out = arena.gate_op, arena.gate_out
-        dff_q, dff_d = arena.dff_q, arena.dff_d
-
-        fills = []
-        for n in shape["site_order"]:
-            if n in comb_out:
-                continue
-            m1, m0 = site_lanes[n]
-            fills.append((2 * n, ~(m1 | m0), m1, m0))
-        prog = []
-        for gi in shape["cone_gis"]:
+        base_fills = [(2 * n, ~(m1 | m0), m1, m0)
+                      for n, (m1, m0) in sorted(every.items())
+                      if n not in comb_out]
+        upset_nets = {n for per in flips.values() for n in per}
+        base = []
+        row_of: Dict[int, int] = {}  # upset site -> its program row
+        for gi in cone_gis:
             out = gate_out[gi]
             ins2 = tuple(2 * i for i in
                          fanin[fanin_off[gi]:fanin_off[gi + 1]])
-            m1, m0 = site_lanes.get(out, (0, 0))
+            m1, m0 = every.get(out, (0, 0))
             em = ~(m1 | m0) if (m1 or m0) else None
-            prog.append((gate_op[gi], 2 * out, ins2, em, m1, m0))
-        dffs = [(2 * dff_q[k], 2 * dff_d[k]) for k in shape["cone_dks"]]
-        bound2 = [2 * n for n in shape["bound"]]
-        obs2 = [2 * p for p in shape["obs"]]
+            if out in upset_nets:
+                row_of[out] = len(base)
+            base.append((gate_op[gi], 2 * out, ins2, em, m1, m0))
 
+        def program(cycle: int):
+            """The (gate program, fills) pair for ``cycle``."""
+            upsets = flips.get(cycle)
+            if not upsets:
+                return base, base_fills
+            prog, fills = list(base), list(base_fills)
+            for n, (u1, u0) in upsets.items():
+                if n in comb_out:
+                    op, o2, ins2, _em, m1, m0 = prog[row_of[n]]
+                    m1 |= u1
+                    m0 |= u0
+                    prog[row_of[n]] = (op, o2, ins2, ~(m1 | m0), m1, m0)
+                else:
+                    fills.append((2 * n, ~(u1 | u0), u1, u0))
+            return prog, fills
+
+        cstart = 0 if every else min(flips)
         v = [0] * (2 * arena.num_nets)
         state: Dict[int, Mask] = {}
-        for q2, _d2 in dffs:
-            if initial_state and q2 // 2 in initial_state:
-                state[q2] = (full, 0) if initial_state[q2 // 2] else (0, full)
-            else:
-                state[q2] = (0, 0)
+        if cstart > 0:
+            prev = planes[cstart - 1]
+            for q2, d2 in dffs:
+                state[q2] = (full if prev[d2] else 0,
+                             full if prev[d2 + 1] else 0)
+        else:
+            for q2, _d2 in dffs:
+                if initial_state and q2 // 2 in initial_state:
+                    state[q2] = ((full, 0) if initial_state[q2 // 2]
+                                 else (0, full))
+                else:
+                    state[q2] = (0, 0)
         det = 0
-        for plane in planes:
+        for cycle in range(cstart, len(planes)):
+            plane = planes[cycle]
+            prog, fills = program(cycle)
             for i in bound2:
                 v[i] = full if plane[i] else 0
                 v[i + 1] = full if plane[i + 1] else 0
@@ -659,15 +692,25 @@ class ArenaFaultSim:
     def detected_faults(
         self,
         vectors: Sequence[Vector],
-        faults: Sequence[Fault],
+        faults: Sequence[AnyFault],
         initial_state: Optional[Mapping[int, int]] = None,
         extra_observables: Optional[Sequence[int]] = None,
         lanes: int = 512,
-    ) -> Tuple[Set[Fault], int]:
+    ) -> Tuple[Set[AnyFault], int]:
         """Detected subset of ``faults`` plus the number of lane blocks run.
 
-        Bit-identical to the interpreted oracle for any mix of X inputs,
-        initial flip-flop state and extra observe points.
+        ``faults`` may mix stuck-at faults and single-cycle upsets
+        (:class:`TransientFault`).  Each model has an exact filter over
+        the memoized good planes: a stuck-at-``v`` fault survives only if
+        its site ever carries binary ``1-v``, an upset forcing ``v`` only
+        if its site carries binary ``1-v`` in the flip cycle.  Elsewhere
+        the force is the identity or a Kleene refinement of the good
+        value, which can never reach an observe point as a
+        binary-vs-binary difference (module docstring, step 2).
+        Survivors are sorted by :meth:`NetlistArena.cone_pack_order` and
+        cut into blocks of ``lanes``.  Bit-identical to the interpreted
+        oracle for any mix of X inputs, initial flip-flop state and extra
+        observe points.
         """
         from repro.obs import counter
 
@@ -680,11 +723,21 @@ class ArenaFaultSim:
             obs_points.update(extra_observables)
         obs_set = frozenset(obs_points)
 
-        surv = [f for f in faults
-                if (ever_z[f.net] if f.value == 1 else ever_o[f.net])]
+        ncyc = len(planes)
+        surv = []
+        for f in faults:
+            if not isinstance(f, TransientFault):
+                live = ever_z[f.net] if f.value == 1 else ever_o[f.net]
+            elif f.cycle < ncyc:
+                plane, i = planes[f.cycle], 2 * f.net
+                live = plane[i + 1] if f.value == 1 else plane[i]
+            else:
+                live = False
+            if live:
+                surv.append(f)
         counter("fault_sim.arena.filtered_undetectable").inc(
             len(faults) - len(surv))
-        detected: Set[Fault] = set()
+        detected: Set[AnyFault] = set()
         if not surv:
             return detected, 0
         ordered = arena.cone_pack_order(surv)
@@ -693,8 +746,8 @@ class ArenaFaultSim:
         early = 0
         for start in range(0, len(ordered), lanes):
             blk = ordered[start:start + lanes]
-            det, present = self._run_interp_block(blk, planes,
-                                                  initial_state, obs_set)
+            det, present = self._run_block(blk, planes, initial_state,
+                                           obs_set)
             blocks += 1
             filled += bin(present).count("1")
             if det == present:
@@ -707,213 +760,6 @@ class ArenaFaultSim:
         counter("fault_sim.arena.lanes_filled").inc(filled)
         counter("fault_sim.arena.early_exits").inc(early)
         return detected, blocks
-
-    # -- transient (SEU) faults ----------------------------------------------
-
-    def detected_transients(
-        self,
-        vectors: Sequence[Vector],
-        faults: Sequence[TransientFault],
-        initial_state: Optional[Mapping[int, int]] = None,
-        extra_observables: Optional[Sequence[int]] = None,
-        lanes: int = 512,
-    ) -> Tuple[Set[TransientFault], int]:
-        """Detected subset of single-cycle upsets plus lane blocks run.
-
-        Reuses the memoized good planes twice: as the undetectability
-        pre-filter (an upset forcing ``v`` at a (site, cycle) where the
-        good machine already carries ``v`` is the identity; where it
-        carries X the forced binary value is a Kleene refinement — either
-        way no binary-vs-binary difference can ever reach an observe
-        point, by the same monotonicity argument as the stuck-at filter,
-        so only sites whose good value is binary ``1-v`` at the flip
-        cycle survive) and as the boundary broadcast inside each lane
-        block.  Blocks are sorted flip-cycle first so each block starts
-        simulating at its earliest flip, with cone flip-flops seeded from
-        the good plane of the preceding cycle (faulty state equals good
-        state before the first injection).  Bit-identical to the
-        interpreted oracle.
-        """
-        from repro.obs import counter
-
-        if not faults:
-            return set(), 0
-        planes, _ever_o, _ever_z = self._good_pass(vectors, initial_state)
-        arena = self.arena
-        obs_points: Set[int] = set(arena.pos)
-        if extra_observables:
-            obs_points.update(extra_observables)
-        obs_set = frozenset(obs_points)
-
-        ncyc = len(planes)
-        surv: List[TransientFault] = []
-        for f in faults:
-            if f.cycle >= ncyc:
-                continue
-            plane = planes[f.cycle]
-            i = 2 * f.net
-            if plane[i + 1] if f.value == 1 else plane[i]:
-                surv.append(f)
-        counter("fault_sim.arena.filtered_undetectable").inc(
-            len(faults) - len(surv))
-        detected: Set[TransientFault] = set()
-        if not surv:
-            return detected, 0
-
-        rank = arena.site_rank
-        nn = arena.num_nets
-        ordered = sorted(
-            surv,
-            key=lambda f: (f.cycle, rank[f.net] if f.net < nn else -1,
-                           f.net, f.value),
-        )
-        blocks = 0
-        filled = 0
-        early = 0
-        for start in range(0, len(ordered), lanes):
-            blk = ordered[start:start + lanes]
-            det, present = self._run_interp_transient_block(
-                blk, planes, initial_state, obs_set)
-            blocks += 1
-            filled += bin(present).count("1")
-            if det == present:
-                early += 1
-            while det:
-                li = (det & -det).bit_length() - 1
-                detected.add(blk[li])
-                det &= det - 1
-        counter("fault_sim.arena.passes").inc(blocks)
-        counter("fault_sim.arena.lanes_filled").inc(filled)
-        counter("fault_sim.arena.early_exits").inc(early)
-        return detected, blocks
-
-    def _run_interp_transient_block(
-        self, blk: Sequence[TransientFault], planes,
-        initial_state: Optional[Mapping[int, int]], obs_set: frozenset,
-    ):
-        """One interpreted lane block of single-cycle upsets.
-
-        Mirrors :meth:`_run_interp_block` with the injection masks gated
-        by flip cycle: fills and gate-output overrides are only live
-        during a lane's own cycle, so the lane tracks the good machine
-        before its flip and free-runs the disturbance afterwards.  Cycles
-        before the block's earliest flip are skipped entirely — every
-        lane still equals the good machine there, so nothing can detect
-        and the state is exactly the good state.
-        """
-        arena = self.arena
-        cone = arena.cone_of({f.net for f in blk})
-        shape = self._block_shape(blk, cone, obs_set)
-        lanes = shape["lanes"]
-        full = (1 << lanes) - 1
-        comb_out = shape["comb_out"]
-        fanin, fanin_off = arena.fanin, arena.fanin_off
-        gate_op, gate_out = arena.gate_op, arena.gate_out
-        dff_q, dff_d = arena.dff_q, arena.dff_d
-
-        # cycle -> 2*net -> (force1, force0) lane masks, split by whether
-        # the site is produced by a cone gate (inline) or filled (PI, Q,
-        # boundary broadcast).
-        fill_at: Dict[int, Dict[int, Mask]] = {}
-        inj_at: Dict[int, Dict[int, Mask]] = {}
-        for li, f in enumerate(blk):
-            per = (inj_at if f.net in comb_out else fill_at).setdefault(
-                f.cycle, {})
-            m1, m0 = per.get(2 * f.net, (0, 0))
-            if f.value == 1:
-                m1 |= 1 << li
-            else:
-                m0 |= 1 << li
-            per[2 * f.net] = (m1, m0)
-
-        prog = []
-        for gi in shape["cone_gis"]:
-            ins2 = tuple(2 * i for i in
-                         fanin[fanin_off[gi]:fanin_off[gi + 1]])
-            prog.append((gate_op[gi], 2 * gate_out[gi], ins2))
-        dffs = [(2 * dff_q[k], 2 * dff_d[k]) for k in shape["cone_dks"]]
-        bound2 = [2 * n for n in shape["bound"]]
-        obs2 = [2 * p for p in shape["obs"]]
-
-        cstart = blk[0].cycle  # blocks are flip-cycle sorted
-        v = [0] * (2 * arena.num_nets)
-        state: Dict[int, Mask] = {}
-        if cstart > 0:
-            prev = planes[cstart - 1]
-            for q2, d2 in dffs:
-                state[q2] = (full if prev[d2] else 0,
-                             full if prev[d2 + 1] else 0)
-        else:
-            for q2, _d2 in dffs:
-                if initial_state and q2 // 2 in initial_state:
-                    state[q2] = ((full, 0) if initial_state[q2 // 2]
-                                 else (0, full))
-                else:
-                    state[q2] = (0, 0)
-        det = 0
-        for cycle in range(cstart, len(planes)):
-            plane = planes[cycle]
-            fills = fill_at.get(cycle)
-            injs = inj_at.get(cycle)
-            for i in bound2:
-                v[i] = full if plane[i] else 0
-                v[i + 1] = full if plane[i + 1] else 0
-            for q2, _d2 in dffs:
-                o, z = state[q2]
-                v[q2] = o
-                v[q2 + 1] = z
-            if fills:
-                for i, (m1, m0) in fills.items():
-                    em = ~(m1 | m0)
-                    v[i] = (v[i] & em) | m1
-                    v[i + 1] = (v[i + 1] & em) | m0
-            for op, o2, ins2 in prog:
-                if op == OP_AND or op == OP_NAND:
-                    o, z = full, 0
-                    for i in ins2:
-                        o &= v[i]
-                        z |= v[i + 1]
-                    if op == OP_NAND:
-                        o, z = z, o
-                elif op == OP_OR or op == OP_NOR:
-                    o, z = 0, full
-                    for i in ins2:
-                        o |= v[i]
-                        z &= v[i + 1]
-                    if op == OP_NOR:
-                        o, z = z, o
-                elif op == OP_NOT:
-                    o = v[ins2[0] + 1]
-                    z = v[ins2[0]]
-                elif op == OP_BUF:
-                    o = v[ins2[0]]
-                    z = v[ins2[0] + 1]
-                else:  # XOR / XNOR n-ary fold
-                    o, z = 0, full
-                    for i in ins2:
-                        io, iz = v[i], v[i + 1]
-                        o, z = (o & iz) | (z & io), (o & io) | (z & iz)
-                    if op == OP_XNOR:
-                        o, z = z, o
-                if injs is not None:
-                    m = injs.get(o2)
-                    if m is not None:
-                        m1, m0 = m
-                        em = ~(m1 | m0)
-                        o = (o & em) | m1
-                        z = (z & em) | m0
-                v[o2] = o
-                v[o2 + 1] = z
-            for i in obs2:
-                if plane[i]:
-                    det |= v[i + 1]
-                elif plane[i + 1]:
-                    det |= v[i]
-            state = {q2: (v[d2], v[d2 + 1]) for q2, d2 in dffs}
-            if det == full:
-                break
-        return det, full
-
 
 
 _SIMS: "WeakKeyDictionary[Netlist, ArenaFaultSim]" = WeakKeyDictionary()

@@ -62,7 +62,7 @@ class AtpgOptions:
     # 0 = all cores, N = N forked workers.  Results are bit-identical at
     # any value (docs/performance.md, "intra-job fault parallelism"), so
     # the store fingerprint deliberately excludes this knob.  Small runs
-    # stay serial regardless (see fault_sim.should_parallelize), as do
+    # stay serial regardless (see parallel.should_parallelize), as do
     # runs under a total_time_limit — which fault the budget cuts off
     # depends on one process's CPU clock and cannot be replicated across
     # workers.
@@ -456,7 +456,7 @@ class AtpgEngine:
             # Which fault a run-wide CPU budget cuts off is a property of
             # one process's clock; no parallel schedule reproduces it.
             return 1
-        from repro.atpg.fault_sim import should_parallelize
+        from repro.atpg.parallel import should_parallelize
         from repro.jobs import resolve_jobs
 
         resolved = resolve_jobs(opts.jobs)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Union
 
 from repro.synth.netlist import CONST1, GateType, Netlist
 
@@ -53,6 +53,10 @@ class TransientFault:
     def describe(self, netlist: Netlist) -> str:
         return (f"{netlist.net_name(self.net)} flipped-to-{self.value} "
                 f"@cycle {self.cycle}")
+
+
+#: Either model the fault simulators grade; one call may mix both.
+AnyFault = Union[Fault, TransientFault]
 
 
 def all_fault_sites(netlist: Netlist) -> List[int]:

@@ -37,6 +37,7 @@ percentage, per-shard ``atpg.shard`` events mark dispatch milestones.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue as queue_mod
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
@@ -47,6 +48,74 @@ from repro.obs.trace import TraceContext
 from repro.atpg.arena import NetlistArena, get_arena
 from repro.atpg.engine import PodemCommitState, SequentialAtpg
 from repro.atpg.faults import Fault
+
+# Below these sizes a fork pool costs more than it saves (arm_alu benched
+# at 0.61x serial with a forced pool): pool spin-up, per-worker warm-up and
+# result pickling dominate the small workload.  The ATPG engine consults
+# :func:`should_parallelize` before forking PODEM workers, so small designs
+# silently stay serial; the ``REPRO_PARALLEL_MIN_*`` environment knobs let
+# tests and smoke jobs lower the floor.
+MIN_PARALLEL_FAULTS = 2000
+MIN_PARALLEL_GATES = 1000
+
+# Forked workers only help when they can run on *different* cores.  On a
+# single-core host (or a cgroup pinned to one CPU) the pool timeshares one
+# core: every speculated fault still costs its full CPU time, plus fork,
+# context-switch and pickling overhead — strictly slower than serial.
+MIN_PARALLEL_CORES = 2
+
+
+def _env_threshold(name: str, default: int) -> int:
+    try:
+        return int(os.environ[name])
+    except (KeyError, ValueError):
+        return default
+
+
+def available_cores() -> int:
+    """CPUs this process may actually run on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def parallelize_decision(jobs: int, num_faults: int,
+                         num_gates: int) -> Tuple[bool, Optional[str]]:
+    """Is a fork worker pool worth it for this workload, and if not, why?
+
+    Returns ``(False, reason)`` when only one worker is available, when
+    the platform cannot fork (workers inherit netlists and generated code
+    by address-space copy, not pickling), when the host has only one
+    usable core (a pool would timeshare it and lose), or when the
+    workload sits below the small-design thresholds where pool overhead
+    exceeds the work.  The reason string is what bench rows and telemetry
+    record so a serial fallback is never mistaken for a parallel run.
+    """
+    if jobs <= 1:
+        return False, "jobs<=1"
+    if not hasattr(os, "fork"):
+        return False, "platform-cannot-fork"
+    min_cores = _env_threshold("REPRO_PARALLEL_MIN_CORES",
+                               MIN_PARALLEL_CORES)
+    cores = available_cores()
+    if cores < min_cores:
+        return False, f"cores={cores}<min_cores={min_cores}"
+    min_faults = _env_threshold("REPRO_PARALLEL_MIN_FAULTS",
+                                MIN_PARALLEL_FAULTS)
+    if num_faults < min_faults:
+        return False, f"faults={num_faults}<min_faults={min_faults}"
+    min_gates = _env_threshold("REPRO_PARALLEL_MIN_GATES",
+                               MIN_PARALLEL_GATES)
+    if num_gates < min_gates:
+        return False, f"gates={num_gates}<min_gates={min_gates}"
+    return True, None
+
+
+def should_parallelize(jobs: int, num_faults: int, num_gates: int) -> bool:
+    """Boolean form of :func:`parallelize_decision`."""
+    return parallelize_decision(jobs, num_faults, num_gates)[0]
+
 
 #: Test hook: called with the list of worker Process objects right after
 #: they start (crash-injection tests SIGKILL one here).

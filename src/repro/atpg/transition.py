@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.atpg.fault_sim import Injection, flat_gates, simulate_lanes
 from repro.atpg.faults import all_fault_sites
-from repro.synth.netlist import CONST0, CONST1, GateType, Netlist
+from repro.synth.netlist import Netlist
 
 Vector = Mapping[int, int]
 
@@ -59,6 +60,43 @@ def build_transition_fault_list(netlist: Netlist,
     return sorted(out)
 
 
+def _slow_edges(chunk: Sequence[TransitionFault]) -> Injection:
+    """Injection holding the previous value on lanes whose slow edge
+    fires (lane 0 is the good machine)."""
+    # Lanes grouped by fault site for the dynamic injection step.
+    lanes_at: Dict[int, List[Tuple[int, TransitionFault]]] = {}
+    for lane, fault in enumerate(chunk, start=1):
+        lanes_at.setdefault(fault.net, []).append((lane, fault))
+
+    # Previous faulty value per fault site: (ones, zeros) masks over the
+    # site's own lanes.  Starts X (no transition can be inferred yet).
+    prev: Dict[int, Tuple[int, int]] = {net: (0, 0) for net in lanes_at}
+
+    def inject(net: int, ones: int, zeros: int) -> Tuple[int, int]:
+        entry = lanes_at.get(net)
+        if entry is None:
+            return ones, zeros
+        p1, p0 = prev[net]
+        for lane, fault in entry:
+            bit = 1 << lane
+            if fault.rising:
+                # Slow-to-rise: a 0->1 change is held at 0.
+                if (p0 & bit) and (ones & bit):
+                    ones &= ~bit
+                    zeros |= bit
+            else:
+                if (p1 & bit) and (zeros & bit):
+                    zeros &= ~bit
+                    ones |= bit
+        # Record this cycle's (post-injection) faulty value: the next
+        # cycle's transition check compares against what the faulty
+        # machine actually carried.
+        prev[net] = (ones, zeros)
+        return ones, zeros
+
+    return inject
+
+
 class TransitionFaultSimulator:
     """Lane-parallel gross-delay transition fault simulation.
 
@@ -67,7 +105,9 @@ class TransitionFaultSimulator:
     direction, the lane holds the old value instead (the gross-delay
     assumption: the transition takes longer than one at-speed cycle).
     A fault is detected when a primary output differs binary-vs-binary
-    from the good machine.
+    from the good machine.  The hold rule is an injection schedule over
+    the fault simulator's interpreted lane loop
+    (:func:`~repro.atpg.fault_sim.simulate_lanes`), live on every cycle.
     """
 
     def __init__(self, netlist: Netlist,
@@ -76,9 +116,7 @@ class TransitionFaultSimulator:
             raise ValueError("need at least two lanes")
         self.netlist = netlist
         self.lanes = lanes
-        self._order = netlist.topological_order()
-        self._dffs = netlist.dffs()
-        self._flat = [(g.type, g.output, g.inputs) for g in self._order]
+        self._flat = flat_gates(netlist)
 
     def detected_faults(self, vectors: Sequence[Vector],
                         faults: Sequence[TransitionFault],
@@ -89,133 +127,11 @@ class TransitionFaultSimulator:
         block = self.lanes - 1
         for start in range(0, len(faults), block):
             chunk = faults[start:start + block]
-            detected |= self._simulate_block(vectors, chunk, initial_state,
-                                             extra_observables)
+            hold = _slow_edges(chunk)
+            detected |= simulate_lanes(self.netlist, self._flat, vectors,
+                                       chunk, lambda cycle: hold,
+                                       initial_state, extra_observables)
         return detected
-
-    # -- internals --------------------------------------------------------
-
-    def _simulate_block(self, vectors, chunk, initial_state,
-                        extra_observables) -> Set[TransitionFault]:
-        width = len(chunk) + 1
-        full = (1 << width) - 1
-
-        # Lanes grouped by fault site for the dynamic injection step.
-        lanes_at: Dict[int, List[Tuple[int, TransitionFault]]] = {}
-        for lane, fault in enumerate(chunk, start=1):
-            lanes_at.setdefault(fault.net, []).append((lane, fault))
-
-        # Previous faulty value per fault site: (ones, zeros) masks over the
-        # site's own lanes.  Starts X (no transition can be inferred yet).
-        prev: Dict[int, Tuple[int, int]] = {
-            net: (0, 0) for net in lanes_at
-        }
-
-        state: Dict[int, Tuple[int, int]] = {
-            dff.output: (0, 0) for dff in self._dffs
-        }
-        if initial_state:
-            for q, bit in initial_state.items():
-                state[q] = (full, 0) if bit else (0, full)
-
-        observe = list(self.netlist.pos)
-        if extra_observables:
-            observe.extend(extra_observables)
-
-        def inject(net: int, ones: int, zeros: int) -> Tuple[int, int]:
-            """Hold the previous value on lanes whose slow edge fires."""
-            entry = lanes_at.get(net)
-            if entry is None:
-                return ones, zeros
-            p1, p0 = prev[net]
-            for lane, fault in entry:
-                bit = 1 << lane
-                if fault.rising:
-                    # Slow-to-rise: a 0->1 change is held at 0.
-                    if (p0 & bit) and (ones & bit):
-                        ones &= ~bit
-                        zeros |= bit
-                else:
-                    if (p1 & bit) and (zeros & bit):
-                        zeros &= ~bit
-                        ones |= bit
-            # Record this cycle's (post-injection) faulty value: the next
-            # cycle's transition check compares against what the faulty
-            # machine actually carried.
-            prev[net] = (ones, zeros)
-            return ones, zeros
-
-        detected_mask = 0
-        AND, OR, NOT, BUF = (GateType.AND, GateType.OR, GateType.NOT,
-                             GateType.BUF)
-        NAND, NOR, XNOR = GateType.NAND, GateType.NOR, GateType.XNOR
-
-        for vec in vectors:
-            values: Dict[int, Tuple[int, int]] = {
-                CONST0: (0, full), CONST1: (full, 0)
-            }
-            for pi in self.netlist.pis:
-                bit = vec.get(pi)
-                pair = (full, 0) if bit else ((0, full) if bit == 0
-                                              else (0, 0))
-                values[pi] = inject(pi, *pair) if pi in lanes_at else pair
-            for dff in self._dffs:
-                q = dff.output
-                pair = state.get(q, (0, 0))
-                values[q] = inject(q, *pair) if q in lanes_at else pair
-
-            get = values.get
-            for gtype, out, inputs in self._flat:
-                if gtype is BUF:
-                    ones, zeros = get(inputs[0], (0, 0))
-                elif gtype is NOT:
-                    i1, i0 = get(inputs[0], (0, 0))
-                    ones, zeros = i0, i1
-                elif gtype is AND or gtype is NAND:
-                    ones, zeros = full, 0
-                    for inp in inputs:
-                        i1, i0 = get(inp, (0, 0))
-                        ones &= i1
-                        zeros |= i0
-                    if gtype is NAND:
-                        ones, zeros = zeros, ones
-                elif gtype is OR or gtype is NOR:
-                    ones, zeros = 0, full
-                    for inp in inputs:
-                        i1, i0 = get(inp, (0, 0))
-                        ones |= i1
-                        zeros &= i0
-                    if gtype is NOR:
-                        ones, zeros = zeros, ones
-                else:  # XOR / XNOR
-                    ones, zeros = 0, full
-                    for inp in inputs:
-                        i1, i0 = get(inp, (0, 0))
-                        ones, zeros = (ones & i0) | (zeros & i1), \
-                                      (ones & i1) | (zeros & i0)
-                    if gtype is XNOR:
-                        ones, zeros = zeros, ones
-                if out in lanes_at:
-                    ones, zeros = inject(out, ones, zeros)
-                values[out] = (ones, zeros)
-
-            for po in observe:
-                ones, zeros = values.get(po, (0, 0))
-                if ones & 1:
-                    detected_mask |= zeros & ~1
-                elif zeros & 1:
-                    detected_mask |= ones & ~1
-
-            state = {
-                dff.output: values.get(dff.inputs[0], (0, 0))
-                for dff in self._dffs
-            }
-
-        out: Set[TransitionFault] = set()
-        for lane, fault in enumerate(chunk, start=1):
-            if detected_mask & (1 << lane):
-                out.add(fault)
-        return out
 
 
 def transition_coverage(netlist: Netlist,

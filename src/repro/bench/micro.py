@@ -4,9 +4,11 @@ Two differential benchmark suites, each timed with the observability CPU
 clock and written as a ``BENCH_*.json`` payload next to the table output:
 
 - **fault_sim** — the same (vectors, faults) workload through the
-  interpreted reference simulator and the arena lane-block backend.  The
-  detected sets must be identical; the row records CPU times and the
-  throughput ratio ``arena_x`` (interpreted/arena).
+  interpreted reference simulator and the arena lane-block backend, once
+  per fault model (``model``: ``stuck`` for the collapsed stuck-at list,
+  ``seu`` for a seeded transient bit-flip sample).  The detected sets
+  must be identical; the row records CPU times and the throughput ratio
+  ``arena_x`` (interpreted/arena).
 - **atpg** — one deterministic small ATPG configuration run with each
   backend; coverage, efficiency, detections and vector counts must be
   bit-identical (the backend may only change speed, never results).
@@ -27,8 +29,10 @@ import tempfile
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.engine import AtpgEngine, AtpgOptions
-from repro.atpg.fault_sim import FaultSimulator, available_cores
-from repro.atpg.faults import Fault, build_fault_list
+from repro.atpg.fault_sim import FaultSimulator
+from repro.atpg.faults import (AnyFault, Fault, build_fault_list,
+                               build_transient_fault_list)
+from repro.atpg.parallel import available_cores
 from repro.bench.experiments import resolve_jobs
 from repro.core.report import format_table
 from repro.designs.arm2 import arm2_design
@@ -70,8 +74,8 @@ def random_vectors(netlist: Netlist, count: int,
 
 def _timed_detect(netlist: Netlist, backend: str,
                   vectors: Sequence[Dict[int, int]],
-                  faults: Sequence[Fault],
-                  repeats: int = 1) -> Tuple[Set[Fault], float]:
+                  faults: Sequence[AnyFault],
+                  repeats: int = 1) -> Tuple[Set[AnyFault], float]:
     """Detected set and best-of-``repeats`` CPU seconds for one backend.
 
     An untimed warmup over the full workload first populates the
@@ -82,7 +86,7 @@ def _timed_detect(netlist: Netlist, backend: str,
     sim = FaultSimulator(netlist, backend=backend)
     sim.detected_faults(vectors, faults)
     best = None
-    detected: Set[Fault] = set()
+    detected: Set[AnyFault] = set()
     for _ in range(max(1, repeats)):
         with span("bench.fault_sim", backend=backend,
                   design=netlist.name) as sp:
@@ -99,35 +103,50 @@ def _kfvs(faults: int, vectors: int, seconds: float) -> float:
 
 def fault_sim_rows(quick: bool = False,
                    seed: int = 2002) -> List[Dict[str, object]]:
-    """Differential interpreted/arena fault simulation rows."""
+    """Differential interpreted/arena fault simulation rows.
+
+    One row per design and fault model (``model``): ``stuck`` grades the
+    collapsed stuck-at list, ``seu`` a seeded sample of transient
+    bit-flips drawn from the sites x {0,1} x cycles universe.  Both
+    backends see the same (vectors, faults) workload and must return
+    bit-identical detected sets.
+    """
     designs = ["arm_alu"] if quick else ["arm_alu", "arm2"]
     count = 8 if quick else 16
+    sample = 128 if quick else 512
+    repeats = 1 if quick else 2
     rows: List[Dict[str, object]] = []
     for name in designs:
         netlist = _bench_netlist(name)
-        faults = _bench_faults(name)
         vectors = random_vectors(netlist, count, seed)
-        repeats = 1 if quick else 2
-        interp, interp_s = _timed_detect(netlist, "interpreted",
-                                         vectors, faults, repeats)
-        arena, arena_s = _timed_detect(netlist, "arena",
-                                       vectors, faults, repeats)
-        match = interp == arena
-        if not match:
-            _LOG.error("fault_sim.mismatch", design=name,
-                       interpreted=len(interp), arena=len(arena))
-        rows.append({
-            "design": name,
-            "faults": len(faults),
-            "vectors": count,
-            "interp_s": round(interp_s, 3),
-            "arena_s": round(arena_s, 3),
-            "interp_kfv_s": round(_kfvs(len(faults), count, interp_s), 1),
-            "arena_kfv_s": round(_kfvs(len(faults), count, arena_s), 1),
-            "arena_x": round(interp_s / max(arena_s, 1e-9), 2),
-            "detected": len(arena),
-            "match": match,
-        })
+        workloads = (
+            ("stuck", _bench_faults(name)),
+            ("seu", build_transient_fault_list(netlist, count,
+                                               sample=sample, seed=seed)),
+        )
+        for model, faults in workloads:
+            interp, interp_s = _timed_detect(netlist, "interpreted",
+                                             vectors, faults, repeats)
+            arena, arena_s = _timed_detect(netlist, "arena",
+                                           vectors, faults, repeats)
+            match = interp == arena
+            if not match:
+                _LOG.error("fault_sim.mismatch", design=name, model=model,
+                           interpreted=len(interp), arena=len(arena))
+            rows.append({
+                "design": name,
+                "model": model,
+                "faults": len(faults),
+                "vectors": count,
+                "interp_s": round(interp_s, 3),
+                "arena_s": round(arena_s, 3),
+                "interp_kfv_s": round(_kfvs(len(faults), count,
+                                            interp_s), 1),
+                "arena_kfv_s": round(_kfvs(len(faults), count, arena_s), 1),
+                "arena_x": round(interp_s / max(arena_s, 1e-9), 2),
+                "detected": len(arena),
+                "match": match,
+            })
     return rows
 
 
@@ -342,54 +361,11 @@ def warm_pipeline_rows(quick: bool = False,
     return rows
 
 
-def transient_sim_rows(quick: bool = False,
-                       seed: int = 2002) -> List[Dict[str, object]]:
-    """Differential SEU (transient bit-flip) fault simulation rows.
-
-    The same seeded (vector sequence, transient fault sample) workload
-    through the interpreted reference and the arena lane-block backend;
-    the detected sets must be bit-identical.  The transient universe is
-    sites x {0,1} x cycles, so the sample is drawn per design from the
-    same seed both backends see.
-    """
-    from repro.atpg.faults import build_transient_fault_list
-
-    designs = ["arm_alu"] if quick else ["arm_alu", "arm2"]
-    cycles = 8 if quick else 16
-    sample = 128 if quick else 512
-    rows: List[Dict[str, object]] = []
-    for name in designs:
-        netlist = _bench_netlist(name)
-        vectors = random_vectors(netlist, cycles, seed)
-        faults = build_transient_fault_list(netlist, cycles,
-                                            sample=sample, seed=seed)
-        interp, interp_s = _timed_detect(netlist, "interpreted",
-                                         vectors, faults)
-        arena, arena_s = _timed_detect(netlist, "arena", vectors, faults)
-        match = interp == arena
-        if not match:
-            _LOG.error("transient_sim.mismatch", design=name,
-                       interpreted=len(interp), arena=len(arena))
-        rows.append({
-            "design": name,
-            "faults": len(faults),
-            "cycles": cycles,
-            "interp_s": round(interp_s, 3),
-            "arena_s": round(arena_s, 3),
-            "interp_kfv_s": round(_kfvs(len(faults), cycles, interp_s), 1),
-            "arena_kfv_s": round(_kfvs(len(faults), cycles, arena_s), 1),
-            "speedup_x": round(interp_s / max(arena_s, 1e-9), 2),
-            "detected": len(arena),
-            "match": match,
-        })
-    return rows
-
-
 def campaign_rows(quick: bool = False,
                   seed: int = 2002) -> List[Dict[str, object]]:
-    """SEU differential rows plus one tiny local factorial campaign.
+    """One tiny local factorial campaign.
 
-    The campaign row runs a 4-point, random-phase-only transient sweep
+    The row runs a 4-point, random-phase-only transient sweep
     on the bundled arm2 through :class:`CampaignRunner`'s local path
     (the serve worker entry point), so the bench covers spec -> design
     -> trials -> trial DB -> fitted report end to end.  ``match``
@@ -397,7 +373,6 @@ def campaign_rows(quick: bool = False,
     """
     from repro.campaign import CampaignRunner, CampaignSpec
 
-    rows = transient_sim_rows(quick=quick, seed=seed)
     spec = CampaignSpec.from_dict({
         "name": f"bench-campaign-{'quick' if quick else 'full'}",
         "design": "arm2",
@@ -421,15 +396,13 @@ def campaign_rows(quick: bool = False,
              and len(report.get("effects") or []) == len(spec.factors))
     if not match:
         _LOG.error("campaign.bench_mismatch", summary=summary)
-    rows.append({
+    return [{
         "design": "arm2/arm_alu (campaign)",
         "faults": summary.get("trials", 0),
         "detected": factorial.get("trials", 0) - factorial.get("failed", 0),
         "wall_s": round(sp.wall_seconds, 3),
-        "speedup_x": 1.0,
         "match": match,
-    })
-    return rows
+    }]
 
 
 #: Suites run by a bare ``repro bench``.  The serve and campaign suites
@@ -461,7 +434,8 @@ def run_bench(out_dir: str = "benchmarks/results", quick: bool = False,
                          f"(choose from {', '.join(ALL_SUITES)})")
     catalogue = {
         "fault_sim": (
-            "Fault simulation: interpreted vs arena backend",
+            "Fault simulation (stuck-at and SEU): interpreted vs arena "
+            "backend",
             lambda: fault_sim_rows(quick=quick, seed=seed)),
         "atpg": (
             "ATPG backend equivalence (arm_alu) + "
@@ -475,8 +449,7 @@ def run_bench(out_dir: str = "benchmarks/results", quick: bool = False,
             "Job server: cold/warm/coalesced latency and throughput",
             lambda: serve_rows(quick=quick, seed=seed, jobs=jobs)),
         "campaign": (
-            "SEU transient fault sim (interpreted vs arena) + "
-            "local factorial campaign",
+            "Local factorial SEU campaign",
             lambda: campaign_rows(quick=quick, seed=seed)),
     }
     for key in selected:

@@ -90,6 +90,19 @@ _PROFILE_PHASES = ["parse", "extract", "compose", "synth",
                    "testability", "piers", "atpg"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes the job protocol requires to be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -156,10 +169,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fault model: stuck-at (default), transient "
                             "SEU bit flips (random-phase only, graded by "
                             "fault simulation), or both")
-        p.add_argument("--random-length", type=int, metavar="N",
+        p.add_argument("--random-length", type=_positive_int, metavar="N",
                        help="random-phase sequence length (default: the "
                             "engine's built-in)")
-        p.add_argument("--transient-sample", type=int, metavar="N",
+        p.add_argument("--transient-sample", type=_positive_int,
+                       metavar="N",
                        help="SEU faults sampled from the site x value x "
                             "cycle universe (default 256)")
         if with_jobs:
@@ -365,9 +379,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=["stuck", "transient", "both"],
                           default="stuck",
                           help="atpg jobs: fault model (default: stuck)")
-    p_submit.add_argument("--random-length", type=int, metavar="N",
+    p_submit.add_argument("--random-length", type=_positive_int,
+                          metavar="N",
                           help="atpg jobs: random-phase sequence length")
-    p_submit.add_argument("--transient-sample", type=int, metavar="N",
+    p_submit.add_argument("--transient-sample", type=_positive_int,
+                          metavar="N",
                           help="atpg jobs: SEU fault sample size")
     p_submit.add_argument("--jobs", type=int,
                           help="atpg jobs: PODEM workers inside the job "

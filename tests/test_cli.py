@@ -62,6 +62,23 @@ class TestAtpg:
         assert "ATPG report for forward" in out
         assert "detected" in out
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("flag", ["--random-length",
+                                      "--transient-sample"])
+    @pytest.mark.parametrize("command", ["atpg", "profile", "submit"])
+    def test_seu_sizes_must_be_positive(self, command, flag, value,
+                                        tmp_path, capsys):
+        # The job protocol requires both sizes >= 1; the CLI must refuse
+        # them while parsing (exit 2), before any pipeline work or
+        # server round trip.
+        design = tmp_path / "d.v"
+        design.write_text("module m(input a, output y); assign y = a; "
+                          "endmodule\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(design), "--mut", "m", flag, value])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
 
 class TestStatsAndPiers:
     def test_stats_full_design(self, design_file, capsys):

@@ -1,5 +1,5 @@
 """Fault simulator tests, including equivalence against a brute-force
-serial reference implementation."""
+serial reference implementation (stuck-at and SEU faults alike)."""
 
 import random
 
@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.atpg.fault_sim import FaultSimulator
-from repro.atpg.faults import Fault, build_fault_list
+from repro.atpg.faults import (Fault, build_fault_list,
+                               build_transient_fault_list)
 from repro.designs import adder_source, counter_source, fsm_source
 from repro.hierarchy import Design
 from repro.synth import synthesize
@@ -20,14 +21,18 @@ def netlist_of(src, top=None):
 
 
 def serial_reference(netlist, vectors, faults):
-    """Brute force: one full two-valued-with-X simulation per fault."""
+    """Brute force: one full two-valued-with-X simulation per fault.
+
+    Shares no code with either backend.  A ``TransientFault`` is forced
+    only in its flip cycle, a stuck-at fault in every cycle.
+    """
 
     def run(fault):
         state = {dff.output: None for dff in netlist.dffs()}
         good_state = dict(state)
-        for vec in vectors:
-            good = _cycle(netlist, vec, good_state, None)
-            bad = _cycle(netlist, vec, state, fault)
+        for cycle, vec in enumerate(vectors):
+            good = _cycle(netlist, vec, good_state, None, cycle)
+            bad = _cycle(netlist, vec, state, fault, cycle)
             good_state = {d.output: good.get(d.inputs[0])
                           for d in netlist.dffs()}
             state = {d.output: bad.get(d.inputs[0]) for d in netlist.dffs()}
@@ -40,11 +45,12 @@ def serial_reference(netlist, vectors, faults):
     return {fault for fault in faults if run(fault)}
 
 
-def _cycle(netlist, vec, state, fault):
+def _cycle(netlist, vec, state, fault, cycle):
     values = {CONST0: 0, CONST1: 1}
+    live = fault is not None and getattr(fault, "cycle", cycle) == cycle
 
     def inject(net, val):
-        if fault is not None and net == fault.net:
+        if live and net == fault.net:
             return fault.value
         return val
 
@@ -123,6 +129,23 @@ class TestAgainstSerialReference:
         vectors = random_vectors(nl, 10, seed=seed)
         fast = FaultSimulator(nl, lanes=16).detected_faults(vectors, faults)
         slow = serial_reference(nl, vectors, faults)
+        assert fast == slow
+
+    @pytest.mark.parametrize("backend", ["interpreted", "arena"])
+    @pytest.mark.parametrize("src", [adder_source(), counter_source(),
+                                     fsm_source()],
+                             ids=["adder", "counter", "fsm"])
+    def test_transients_match_reference(self, src, backend):
+        nl = netlist_of(src)
+        vectors = random_vectors(nl, 12, seed=5)
+        faults = build_transient_fault_list(nl, len(vectors), sample=240,
+                                            seed=17)
+        # Narrow lanes force many blocks, and blocks of upsets that start
+        # at later flip cycles.
+        fsim = FaultSimulator(nl, lanes=8, backend=backend)
+        fast = fsim.detected_faults(vectors, faults)
+        slow = serial_reference(nl, vectors, faults)
+        assert slow  # the sample must exercise detection
         assert fast == slow
 
     def test_lane_count_does_not_change_result(self):

@@ -16,7 +16,7 @@ import pytest
 
 import repro.atpg.parallel as parallel_mod
 from repro.atpg.engine import AtpgEngine, AtpgOptions
-from repro.atpg.fault_sim import available_cores, should_parallelize
+from repro.atpg.parallel import available_cores, should_parallelize
 from repro.designs import counter_source
 from repro.hierarchy import Design
 from repro.obs import get_registry
@@ -72,11 +72,9 @@ class TestShouldParallelize:
         assert not should_parallelize(4, 10**6, 100)
 
     def test_single_core_hosts_stay_serial(self, monkeypatch):
-        import repro.atpg.fault_sim as fs
-
-        monkeypatch.setattr(fs, "available_cores", lambda: 1)
+        monkeypatch.setattr(parallel_mod, "available_cores", lambda: 1)
         assert not should_parallelize(4, 10**6, 10**6)
-        monkeypatch.setattr(fs, "available_cores", lambda: 8)
+        monkeypatch.setattr(parallel_mod, "available_cores", lambda: 8)
         assert should_parallelize(4, 10**6, 10**6)
 
     def test_env_overrides(self, monkeypatch):

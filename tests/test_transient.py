@@ -2,11 +2,14 @@
 
 A transient fault forces one net to one value for exactly one clock
 cycle; it is detected only if the single-cycle disturbance propagates to
-an observe point — possibly through flip-flop state, cycles later.  The
-arena backend's transient path (good-plane pre-filter + cycle-gated lane
-blocks) must produce detected sets bit-identical to the flat lane-block
-path of the interpreted oracle, on every netlist, at any lane width,
-including X inputs and preset state.
+an observe point — possibly through flip-flop state, cycles later.  Both
+backends grade upsets as an injection schedule over their one block
+simulator (forced only in the flip cycle); the arena's (good-plane
+pre-filter + cone blocks starting at the earliest flip) must produce
+detected sets bit-identical to the interpreted oracle's, on every
+netlist, at any lane width, including X inputs, preset state and blocks
+mixing stuck-at with SEU lanes.  ``tests/test_fault_sim.py`` checks both
+against a brute-force reference.
 """
 
 import random
@@ -15,7 +18,7 @@ import pytest
 
 from repro.atpg.engine import AtpgEngine, AtpgOptions
 from repro.atpg.fault_sim import FaultSimulator
-from repro.atpg.faults import (FAULT_MODELS, TransientFault,
+from repro.atpg.faults import (FAULT_MODELS, Fault, TransientFault,
                                build_transient_fault_list)
 from repro.hierarchy import Design
 from repro.synth import synthesize
@@ -111,6 +114,18 @@ def test_flip_propagates_through_state():
     assert detect(nl, "interpreted", vectors[:2], [upset_d]) == set()
 
 
+@pytest.mark.parametrize("backend", ["interpreted", "arena"])
+def test_mixed_block_runs_stuck_lanes_from_cycle_zero(backend):
+    # y stuck-at-0 shows only in cycle 0 (good y == 1, then 0); the upset
+    # sharing its block flips in cycle 1.  The stuck-at lane must still
+    # be simulated from cycle 0.
+    nl = _netlist(INV)
+    a = nl.pis[0]
+    y = nl.pos[0]
+    faults = [Fault(y, 0), TransientFault(y, 1, 1)]
+    assert detect(nl, backend, [{a: 0}, {a: 1}], faults) == set(faults)
+
+
 # -- backend equivalence -----------------------------------------------------
 
 
@@ -150,8 +165,10 @@ def test_transient_backend_equality_with_x_and_state(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_mixed_stuck_and_transient_lists(seed):
-    """A single detected_faults call grades both models at once."""
+@pytest.mark.parametrize("lanes", [512, 5])
+def test_mixed_stuck_and_transient_lists(lanes, seed):
+    """A single detected_faults call grades both models at once, in lane
+    blocks holding both stuck-at and SEU lanes."""
     from repro.atpg.faults import build_fault_list
 
     nl = random_netlist(seed, num_pis=5, num_dffs=3, num_gates=25)
@@ -160,8 +177,8 @@ def test_mixed_stuck_and_transient_lists(seed):
                                  x_rate=0.1)
     mixed = list(build_fault_list(nl)) + \
         build_transient_fault_list(nl, cycles, sample=60, seed=seed)
-    interp = detect(nl, "interpreted", vectors, mixed)
-    arena = detect(nl, "arena", vectors, mixed)
+    interp = detect(nl, "interpreted", vectors, mixed, lanes=lanes)
+    arena = detect(nl, "arena", vectors, mixed, lanes=lanes)
     assert interp == arena
     # The split is by type, not by position in the list.
     assert {f for f in interp if isinstance(f, TransientFault)} <= \
