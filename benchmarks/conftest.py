@@ -16,9 +16,8 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 def _no_artifact_store():
     """Benchmarks measure real work: disable the persistent artifact
     store so neither a warm ~/.cache/repro nor an earlier table's run
-    can shortcut the timed stages.  (The warm-start pipeline itself is
-    measured by the ``repro bench`` warm_pipeline suite, which manages
-    its own cache directory in subprocess environments.)"""
+    can shortcut the timed stages.  (Warm-start correctness is checked
+    by ``tests/test_store.py`` and the CI ``warm-cache-smoke`` job.)"""
     previous = os.environ.get("REPRO_NO_CACHE")
     os.environ["REPRO_NO_CACHE"] = "1"
     yield

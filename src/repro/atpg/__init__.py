@@ -22,15 +22,6 @@ from repro.atpg.sequential import UnrolledModel
 from repro.atpg.engine import AtpgEngine, AtpgOptions, AtpgReport, SequentialAtpg
 from repro.atpg.scoap import scoap_measures, ScoapMeasures
 from repro.atpg.vectors import Test, TestSet
-from repro.atpg.compaction import compact, CompactionResult
-from repro.atpg.diagnosis import Candidate, Diagnoser
-from repro.atpg.bist import BistReport, BistRun, Lfsr, Misr
-from repro.atpg.transition import (
-    TransitionFault,
-    TransitionFaultSimulator,
-    build_transition_fault_list,
-    transition_coverage,
-)
 
 __all__ = [
     "V0",
@@ -53,16 +44,4 @@ __all__ = [
     "ScoapMeasures",
     "Test",
     "TestSet",
-    "compact",
-    "CompactionResult",
-    "Candidate",
-    "Diagnoser",
-    "BistReport",
-    "BistRun",
-    "Lfsr",
-    "Misr",
-    "TransitionFault",
-    "TransitionFaultSimulator",
-    "build_transition_fault_list",
-    "transition_coverage",
 ]

@@ -53,13 +53,11 @@ this differs from textbook PPSFP).  A call proceeds as:
    the union fanout cone of its sites, interpreted over a flat value list,
    with fault injection fused at the sites, X-masks preserved end to end,
    detection against the good planes, and early exit once every injected
-   lane has detected.  One block simulator serves every fault model, each
+   lane has detected.  One block simulator serves both fault models, each
    an injection schedule over the same gate program: a stuck-at lane is
    forced on every cycle, an SEU lane (:class:`TransientFault`) only in
    its flip cycle, which runs a copy of the program with that cycle's
-   upsets patched in.  (Transition faults, whose lanes hold the previous
-   value when the slow edge fires, run only on the interpreted lane loop
-   of :mod:`repro.atpg.fault_sim`.)
+   upsets patched in.
 
 Detected sets are bit-identical to the interpreted oracle;
 ``tests/test_arena.py`` holds the differential suite.

@@ -9,11 +9,9 @@ Flip-flops start at X, so every fault must be excited through a genuine
 initialisation sequence — the same discipline a commercial sequential fault
 simulator enforces.
 
-Every fault model is an injection schedule over one interpreted lane loop,
+Both fault models are injection schedules over one interpreted lane loop,
 :func:`simulate_lanes`: a stuck-at lane is forced on every cycle, an SEU
-lane (:class:`~repro.atpg.faults.TransientFault`) only in its flip cycle,
-and a transition lane (:mod:`repro.atpg.transition`) holds its previous
-value whenever its slow edge fires.
+lane (:class:`~repro.atpg.faults.TransientFault`) only in its flip cycle.
 """
 
 from __future__ import annotations

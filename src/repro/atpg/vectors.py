@@ -1,10 +1,9 @@
-"""Test-set containers, persistence and replay.
+"""Test-set containers and replay.
 
 The ATPG engine produces tests as per-frame PI assignments plus an optional
 PIER pre-load state.  This module gives them a stable, name-keyed form that
-survives netlist rebuilds, a simple text format for saving/loading, and a
-replay helper that re-measures fault coverage on any structurally compatible
-netlist.
+survives netlist rebuilds, and a replay helper that re-measures fault
+coverage on any structurally compatible netlist.
 """
 
 from __future__ import annotations
@@ -30,13 +29,12 @@ class Test:
 
 
 class TestSet:
-    """A named collection of tests over a fixed input interface."""
+    """A named collection of tests."""
 
     __test__ = False  # not a pytest class
 
-    def __init__(self, name: str, pi_names: Sequence[str]):
+    def __init__(self, name: str):
         self.name = name
-        self.pi_names = list(pi_names)
         self.tests: List[Test] = []
 
     # -- construction -----------------------------------------------------
@@ -45,8 +43,7 @@ class TestSet:
     def from_engine(cls, engine, netlist: Netlist,
                     name: Optional[str] = None) -> "TestSet":
         """Capture the tests recorded by an :class:`AtpgEngine` run."""
-        out = cls(name or netlist.name,
-                  [netlist.net_name(pi) for pi in netlist.pis])
+        out = cls(name or netlist.name)
         for vectors, init in engine.tests:
             named_vectors = [
                 {netlist.net_name(pi): bit for pi, bit in vec.items()}
@@ -65,71 +62,6 @@ class TestSet:
     @property
     def num_vectors(self) -> int:
         return sum(t.length for t in self.tests)
-
-    # -- persistence ----------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        """Write the test set in a line-oriented text format."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(f"testset {self.name}\n")
-            handle.write("inputs " + " ".join(self.pi_names) + "\n")
-            for test in self.tests:
-                handle.write("test\n")
-                for sig, bit in sorted(test.initial_state.items()):
-                    handle.write(f"state {sig} {bit}\n")
-                for vec in test.vectors:
-                    bits = "".join(
-                        str(vec[n]) if n in vec else "-"
-                        for n in self.pi_names
-                    )
-                    handle.write(f"vec {bits}\n")
-                handle.write("end\n")
-
-    @classmethod
-    def load(cls, path: str) -> "TestSet":
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [ln.rstrip("\n") for ln in handle]
-        if not lines or not lines[0].startswith("testset "):
-            raise ValueError(f"{path}: not a test-set file")
-        name = lines[0].split(" ", 1)[1]
-        if not lines[1].startswith("inputs "):
-            raise ValueError(f"{path}: missing inputs line")
-        pi_names = lines[1].split()[1:]
-        out = cls(name, pi_names)
-        current: Optional[Test] = None
-        for lineno, line in enumerate(lines[2:], start=3):
-            if not line.strip():
-                continue
-            if line == "test":
-                current = Test(vectors=[])
-            elif line == "end":
-                if current is None:
-                    raise ValueError(f"{path}:{lineno}: stray 'end'")
-                out.tests.append(current)
-                current = None
-            elif line.startswith("state "):
-                if current is None:
-                    raise ValueError(f"{path}:{lineno}: state outside test")
-                _, sig, bit = line.split()
-                current.initial_state[sig] = int(bit)
-            elif line.startswith("vec "):
-                if current is None:
-                    raise ValueError(f"{path}:{lineno}: vec outside test")
-                bits = line.split(" ", 1)[1]
-                if len(bits) != len(pi_names):
-                    raise ValueError(
-                        f"{path}:{lineno}: vector width {len(bits)} != "
-                        f"{len(pi_names)} inputs"
-                    )
-                vec = {
-                    n: int(b) for n, b in zip(pi_names, bits) if b != "-"
-                }
-                current.vectors.append(vec)
-            else:
-                raise ValueError(f"{path}:{lineno}: bad line {line!r}")
-        if current is not None:
-            raise ValueError(f"{path}: unterminated test")
-        return out
 
     # -- replay ------------------------------------------------------------------
 

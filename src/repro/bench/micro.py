@@ -22,10 +22,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import shutil
-import subprocess
-import sys
-import tempfile
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.engine import AtpgEngine, AtpgOptions
@@ -290,128 +286,11 @@ def atpg_rows(quick: bool = False, seed: int = 2002,
     return rows
 
 
-def warm_pipeline_rows(quick: bool = False,
-                       seed: int = 2002) -> List[Dict[str, object]]:
-    """Cold-vs-warm end-to-end pipeline run against a fresh artifact store.
-
-    Runs the full CLI (``repro atpg`` on the bundled arm2, arm_alu MUT)
-    twice in subprocesses sharing one freshly created ``REPRO_CACHE_DIR``.
-    The first run is cold (every store stage misses and publishes); the
-    second is warm (parse, extraction, synthesis, codegen and the final
-    ATPG report all load from the store).  The reports must be
-    byte-identical — the stored report carries the cold run's timing
-    fields, so even ``tgen_s`` matches — and the row records the
-    end-to-end wall-clock speedup.
-    """
-    from repro.designs import arm2_source
-
-    frames, backtracks = ("1", "10") if quick else ("2", "50")
-    src_root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    work = tempfile.mkdtemp(prefix="repro-warm-bench-")
-    rows: List[Dict[str, object]] = []
-    try:
-        design_path = os.path.join(work, "arm2.v")
-        atomic_write_text(design_path, arm2_source())
-        cache_dir = os.path.join(work, "store")
-        env = dict(os.environ, REPRO_CACHE_DIR=cache_dir)
-        env.pop("REPRO_NO_CACHE", None)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                          else []))
-        outputs: Dict[str, str] = {}
-        timings: Dict[str, float] = {}
-        hits: Dict[str, int] = {}
-        for mode in ("cold", "warm"):
-            metrics_path = os.path.join(work, f"metrics-{mode}.json")
-            cmd = [sys.executable, "-m", "repro", "atpg", design_path,
-                   "--top", "arm", "--mut", "arm_alu",
-                   "--frames", frames, "--backtrack-limit", backtracks,
-                   "--seed", str(seed), "--metrics-out", metrics_path]
-            with span("bench.warm_pipeline", mode=mode) as sp:
-                proc = subprocess.run(cmd, env=env, capture_output=True,
-                                      text=True)
-            if proc.returncode != 0:
-                _LOG.error("warm_pipeline.run_failed", mode=mode,
-                           returncode=proc.returncode,
-                           stderr=proc.stderr[-2000:])
-            outputs[mode] = proc.stdout
-            timings[mode] = sp.wall_seconds
-            with open(metrics_path, encoding="utf-8") as handle:
-                snapshot = json.load(handle)
-            hits[mode] = sum(
-                metric.get("value", 0)
-                for name, metric in snapshot.items()
-                if name.startswith("store.") and name.endswith(".hits"))
-        match = outputs["cold"] == outputs["warm"] and bool(outputs["cold"])
-        if not match:
-            _LOG.error("warm_pipeline.report_mismatch")
-        speedup = timings["cold"] / max(timings["warm"], 1e-9)
-        for mode in ("cold", "warm"):
-            rows.append({
-                "mode": mode,
-                "design": "arm2/arm_alu",
-                "wall_s": round(timings[mode], 3),
-                "store_hits": hits[mode],
-                "speedup_x": round(speedup, 2) if mode == "warm" else 1.0,
-                "match": match,
-            })
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
-    return rows
-
-
-def campaign_rows(quick: bool = False,
-                  seed: int = 2002) -> List[Dict[str, object]]:
-    """One tiny local factorial campaign.
-
-    The row runs a 4-point, random-phase-only transient sweep
-    on the bundled arm2 through :class:`CampaignRunner`'s local path
-    (the serve worker entry point), so the bench covers spec -> design
-    -> trials -> trial DB -> fitted report end to end.  ``match``
-    asserts every trial succeeded and the report fitted every factor.
-    """
-    from repro.campaign import CampaignRunner, CampaignSpec
-
-    spec = CampaignSpec.from_dict({
-        "name": f"bench-campaign-{'quick' if quick else 'full'}",
-        "design": "arm2",
-        "mut": "arm_alu",
-        "mode": "factorial",
-        "seed": seed,
-        "max_trials": 4,
-        "base": {"frames": 1, "fault_model": "transient",
-                 "backtrack_limit": 10},
-        "factors": {
-            "random_length": [4, 8] if quick else [8, 16],
-            "transient_sample": [16, 32] if quick else [64, 128],
-        },
-    })
-    with span("bench.campaign", campaign=spec.name) as sp:
-        summary = CampaignRunner(spec, local=True).run()
-    factorial = summary.get("factorial", {})
-    report = summary.get("report", {})
-    match = (factorial.get("failed", 1) == 0
-             and report.get("trials", 0) == factorial.get("trials")
-             and len(report.get("effects") or []) == len(spec.factors))
-    if not match:
-        _LOG.error("campaign.bench_mismatch", summary=summary)
-    return [{
-        "design": "arm2/arm_alu (campaign)",
-        "faults": summary.get("trials", 0),
-        "detected": factorial.get("trials", 0) - factorial.get("failed", 0),
-        "wall_s": round(sp.wall_seconds, 3),
-        "match": match,
-    }]
-
-
-#: Suites run by a bare ``repro bench``.  The serve and campaign suites
-#: are opt-in (``--suite serve`` / ``--suite campaign`` / ``--suite
-#: all``): serve boots a server subprocess with its own worker pool, and
-#: campaign runs end-to-end pipeline trials — both too heavy for the
-#: default smoke.
-DEFAULT_SUITES = ("fault_sim", "atpg", "warm_pipeline")
-ALL_SUITES = DEFAULT_SUITES + ("serve", "campaign")
+#: Suites run by a bare ``repro bench``.  The serve suite is opt-in
+#: (``--suite serve`` / ``--suite all``): it boots a server subprocess
+#: with its own worker pool, too heavy for the default smoke.
+DEFAULT_SUITES = ("fault_sim", "atpg")
+ALL_SUITES = DEFAULT_SUITES + ("serve",)
 
 
 def run_bench(out_dir: str = "benchmarks/results", quick: bool = False,
@@ -442,15 +321,9 @@ def run_bench(out_dir: str = "benchmarks/results", quick: bool = False,
             "serial-vs-parallel PODEM (arm2)",
             lambda: atpg_rows(quick=quick, seed=seed)
             + atpg_parallel_rows(quick=quick, seed=seed, jobs=jobs)),
-        "warm_pipeline": (
-            "Warm-start pipeline: cold vs warm artifact store",
-            lambda: warm_pipeline_rows(quick=quick, seed=seed)),
         "serve": (
             "Job server: cold/warm/coalesced latency and throughput",
             lambda: serve_rows(quick=quick, seed=seed, jobs=jobs)),
-        "campaign": (
-            "Local factorial SEU campaign",
-            lambda: campaign_rows(quick=quick, seed=seed)),
     }
     for key in selected:
         title, build = catalogue[key]

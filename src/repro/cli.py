@@ -310,10 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="output directory for BENCH_*.json "
                               "(default: benchmarks/results)")
     p_bench.add_argument("--suite", action="append", default=[],
-                         choices=["fault_sim", "atpg", "warm_pipeline",
-                                  "serve", "campaign", "all"],
+                         choices=["fault_sim", "atpg", "serve", "all"],
                          help="suites to run (repeatable; default: "
-                              "fault_sim, atpg, warm_pipeline)")
+                              "fault_sim, atpg)")
     add_obs(p_bench)
 
     p_serve = sub.add_parser(
@@ -915,12 +914,11 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.bench.micro import run_bench
+    from repro.bench.micro import ALL_SUITES, run_bench
 
     suites = list(args.suite)
     if "all" in suites:
-        suites = ["fault_sim", "atpg", "warm_pipeline", "serve",
-                  "campaign"]
+        suites = list(ALL_SUITES)
     return run_bench(out_dir=args.out, quick=args.quick,
                      jobs=args.jobs, seed=args.seed,
                      suites=suites or None)

@@ -151,7 +151,7 @@ def to_chip_vectors(translated: TranslatedTest,
 def translate_test_set(testset: TestSet,
                        chip_pi_names: Sequence[str]) -> TestSet:
     """Translate a whole transformed-module test set to chip level."""
-    out = TestSet(testset.name + "@chip", chip_pi_names)
+    out = TestSet(testset.name + "@chip")
     for test in testset.tests:
         translated = translate_test(test)
         out.add(Test(

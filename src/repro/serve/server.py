@@ -22,9 +22,11 @@ stitched cross-process trace at ``<cache>/traces/<job_id>.jsonl``.
 While a job runs, workers push throttled progress events and liveness
 heartbeats over a ``multiprocessing`` queue; the server republishes them
 as a ``progress`` block on ``GET /v1/jobs/<id>`` and as a chunked-NDJSON
-long-poll stream on ``GET /v1/jobs/<id>/events``.  Jobs that overshoot
-the EWMA-derived duration threshold land in a slow-job log next to the
-traces.
+long-poll stream on ``GET /v1/jobs/<id>/events``.  Each job's stream ends
+with a worker end-of-stream marker, and the terminal event waits for it,
+so no progress event is lost to a result that arrives first.  Jobs that
+overshoot the EWMA-derived duration threshold land in a slow-job log next
+to the traces.
 
 ``SIGTERM``/``SIGINT`` start a graceful drain: admission closes, running
 jobs get ``drain_timeout`` seconds to finish, the queued backlog persists
@@ -60,12 +62,18 @@ from repro.serve.httpd import HttpError, HttpRequest, HttpResponse, \
 from repro.serve.journal import JobJournal
 from repro.serve.protocol import DONE, FAILED, FROM_PIPELINE, FROM_STORE, \
     Job, JobSpec, ProtocolError, QUEUED, RUNNING
-from repro.serve.worker import execute_job, init_worker_progress
+from repro.serve.worker import PROGRESS_END, execute_job, \
+    init_worker_progress
 
 _log = get_logger("serve")
 
 #: Finished jobs kept in the in-memory table for ``GET /v1/jobs``.
 MAX_FINISHED_JOBS = 1000
+
+#: Seconds a finished job waits for the reader thread to deliver its
+#: worker's end-of-stream marker before the terminal event goes out
+#: anyway (counted as ``serve.progress_late``).
+PROGRESS_END_WAIT_S = 10.0
 
 
 @dataclass
@@ -113,6 +121,8 @@ class JobServer:
         self._inflight: Dict[str, str] = {}  # fingerprint -> job id
         self._submit_spans: Dict[str, Span] = {}  # job id -> open span
         self._event_signals: Dict[str, asyncio.Event] = {}
+        # job id -> set once the worker's end-of-stream marker is read
+        self._progress_ends: Dict[str, asyncio.Event] = {}
         self._seq = 1
         self._running = 0
         self._draining = False
@@ -290,6 +300,12 @@ class JobServer:
                 return
 
     def _on_progress(self, job_id: str, payload: Any) -> None:
+        if isinstance(payload, dict) \
+                and payload.get("event") == PROGRESS_END:
+            end = self._progress_ends.get(job_id)
+            if end is not None:
+                end.set()
+            return
         job = self._jobs.get(job_id)
         if job is None or job.status in (DONE, FAILED) \
                 or not isinstance(payload, dict):
@@ -332,6 +348,7 @@ class JobServer:
                 "event": "started",
                 "t": round(epoch_seconds(job.started_at), 6)})
             fresh_registry = self.config.worker_mode == "process"
+            progress_end = self._progress_ends[job.job_id] = asyncio.Event()
             try:
                 future = loop.run_in_executor(
                     self._executor, functools.partial(
@@ -361,6 +378,19 @@ class JobServer:
                 self._running -= 1
                 gauge("serve.running").set(self._running)
                 gauge("serve.workers_busy").set(self._running)
+            if outcome.get("progress_end"):
+                # The result can overtake the progress the reader thread
+                # has yet to pump: hold the terminal event until the
+                # worker's end-of-stream marker is through.
+                try:
+                    await asyncio.wait_for(progress_end.wait(),
+                                           timeout=PROGRESS_END_WAIT_S)
+                except asyncio.TimeoutError:
+                    counter("serve.progress_late",
+                            "jobs finished before their progress "
+                            "stream ended").inc()
+                    _log.warning("progress_late", id=job.job_id,
+                                 wait_s=PROGRESS_END_WAIT_S)
             if outcome["metrics"]:
                 get_registry().merge_snapshot(outcome["metrics"])
             spans = outcome.get("spans") or []
@@ -375,6 +405,7 @@ class JobServer:
                 wall_s: Optional[float] = None,
                 spans: Optional[List[Dict[str, Any]]] = None) -> None:
         job.finished_at = wall_clock()
+        self._progress_ends.pop(job.job_id, None)
         if ok:
             job.status = DONE
             job.served_from = FROM_PIPELINE

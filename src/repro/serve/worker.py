@@ -12,7 +12,8 @@ Telemetry crosses the fork boundary in both directions: the spec's
 ``trace`` field carries the server's submit-span context in (worker spans
 parent under it), and a ``multiprocessing`` queue installed by
 :func:`init_worker_progress` at pool start carries throttled progress
-events and heartbeats back out while the job runs.
+events and heartbeats back out while the job runs, then the job's
+:data:`PROGRESS_END` marker.
 
 Workers inherit ``REPRO_CACHE_DIR``/``REPRO_NO_CACHE``, so every
 operation warm-starts through the persistent artifact store exactly like
@@ -38,6 +39,10 @@ from repro.serve.protocol import JobSpec
 #: pool thread) by the executor's initializer.  ``None`` outside a pool.
 _PROGRESS_QUEUE: Optional[Any] = None
 
+#: Event name of the end-of-stream marker a job puts on the progress
+#: queue after its last event; it is never republished to clients.
+PROGRESS_END = "progress_end"
+
 
 def init_worker_progress(queue: Any) -> None:
     """Pool initializer: stash the server's progress queue."""
@@ -56,6 +61,11 @@ def execute_job(spec_dict: Dict[str, Any],
     the returned snapshot is a per-job delta (safe in dedicated worker
     processes; the in-thread worker mode passes False because it shares
     the server's registry).
+
+    When a progress queue is installed, the job's last message on it is a
+    :data:`PROGRESS_END` marker and the outcome's ``progress_end`` is
+    True, so the server can hold the terminal event until every progress
+    event ahead of the marker has been read.
     """
     if fresh_registry:
         get_registry().reset()
@@ -74,7 +84,7 @@ def execute_job(spec_dict: Dict[str, Any],
             with span("serve.execute", op=spec.op) as sp:
                 root = sp
                 result = _OPERATIONS[spec.op](spec)
-        return {
+        outcome = {
             "ok": True,
             "result": result,
             "error": None,
@@ -84,7 +94,7 @@ def execute_job(spec_dict: Dict[str, Any],
             "spans": [root.to_dict()],
         }
     except Exception as exc:
-        return {
+        outcome = {
             "ok": False,
             "result": None,
             "error": f"{type(exc).__name__}: {exc}",
@@ -98,6 +108,9 @@ def execute_job(spec_dict: Dict[str, Any],
         if reporter is not None:
             set_reporter(None)
             reporter.stop()
+            reporter.send({"event": PROGRESS_END})
+    outcome["progress_end"] = reporter is not None
+    return outcome
 
 
 def _factor(spec: JobSpec) -> Factor:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench.experiments import resolve_jobs
 from repro.cli import main
 from repro.obs.metrics import MetricsRegistry
@@ -69,6 +71,8 @@ def test_cli_bench_quick_writes_payloads(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "Fault simulation" in captured
     assert "ATPG backend equivalence" in captured
+    assert sorted(path.name for path in out.iterdir()) == [
+        "BENCH_atpg.json", "BENCH_fault_sim.json"]
     for key in ("fault_sim", "atpg"):
         payload = json.loads((out / f"BENCH_{key}.json").read_text())
         assert payload["scale"] == "quick"
@@ -78,3 +82,12 @@ def test_cli_bench_quick_writes_payloads(tmp_path, capsys):
         assert all(row["match"] for row in payload["rows"])
         assert payload["record"]["label"] == f"bench.{key}"
         assert "metrics" in payload["record"]
+
+
+@pytest.mark.parametrize("suite", ["warm_pipeline", "campaign"])
+def test_retired_suites_rejected(suite, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--suite", suite, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -7,13 +7,16 @@ Thread-mode servers throughout, as in test_serve_server.py.
 """
 
 import json
+import multiprocessing
 import os
 import socket
 import threading
+import time
 
 import pytest
 
 import repro.serve.server as server_mod
+from repro.obs import get_registry
 from repro.serve import ServeClient, ServeConfig, ServeError, ServerThread
 
 TINY = """
@@ -158,6 +161,63 @@ class TestEventStream:
             thread.stop()
         assert done["progress"]["phase"] == "atpg.done"
         assert done["trace_path"]
+
+    def test_slow_progress_reader_loses_no_events(self, fresh_store,
+                                                  monkeypatch):
+        """The job's result overtakes progress the reader thread has not
+        pumped yet; the terminal event must wait for all of it."""
+        real_queue = multiprocessing.SimpleQueue
+
+        class SlowReaderQueue:
+            def __init__(self):
+                self._queue = real_queue()
+
+            def put(self, item):
+                self._queue.put(item)
+
+            def get(self):
+                item = self._queue.get()
+                time.sleep(0.05)
+                return item
+
+        monkeypatch.setattr(server_mod.multiprocessing, "SimpleQueue",
+                            SlowReaderQueue)
+        thread, client = start_server(fresh_store)
+        try:
+            job = client.submit(atpg_spec())["job"]
+            done = client.wait(job["id"], timeout=60)
+            events = list(client.events(job["id"]))
+        finally:
+            thread.stop()
+        assert done["progress"]["phase"] == "atpg.done"
+        kinds = [e["event"] for e in events]
+        assert kinds[-1] == "done"
+        assert kinds.count("progress") >= 3
+
+    def test_lost_end_marker_is_late_not_stuck(self, fresh_store,
+                                               monkeypatch):
+        """A worker whose end-of-stream marker never arrives still
+        finishes, after the bounded wait, counted as late progress."""
+        def no_marker(spec_dict, **kwargs):
+            return {"ok": True, "result": {"echo": spec_dict["op"]},
+                    "error": None, "wall_s": 0.01, "cpu_s": 0.01,
+                    "metrics": {}, "spans": [], "progress_end": True}
+
+        def late_count():
+            return get_registry().snapshot().get(
+                "serve.progress_late", {}).get("value", 0)
+
+        monkeypatch.setattr(server_mod, "execute_job", no_marker)
+        monkeypatch.setattr(server_mod, "PROGRESS_END_WAIT_S", 0.2)
+        before = late_count()
+        thread, client = start_server(fresh_store)
+        try:
+            job = client.submit(atpg_spec())["job"]
+            done = client.wait(job["id"], timeout=30)
+        finally:
+            thread.stop()
+        assert done["status"] == "done"
+        assert late_count() == before + 1
 
 
 class TestNdjsonFraming:
