@@ -101,6 +101,10 @@ class AtpgReport:
     transient_detected: int = 0
     transient_coverage_percent: float = 0.0
     abort_reasons: Dict[str, int] = field(default_factory=dict)
+    # PODEM effort over the committed searches (every depth of every
+    # targeted fault): deterministic, and equal at any ``jobs`` value.
+    implications: int = 0
+    backtracks: int = 0
     record: Optional[RunRecord] = field(default=None, repr=False)
 
     def as_row(self) -> Dict[str, object]:
@@ -195,6 +199,7 @@ class PodemCommitState:
         self.observe = observe
         self.test_gen_seconds = 0.0
         self.total_backtracks = 0
+        self.total_implications = 0
         self.cross_sim_drops = 0
         self.unattempted = 0
 
@@ -206,6 +211,7 @@ class PodemCommitState:
     def commit(self, fault: Fault, result: PodemResult) -> None:
         self.test_gen_seconds += result.cpu_seconds
         self.total_backtracks += result.backtracks
+        self.total_implications += result.implications
         counter("atpg.backtracks").inc(result.backtracks)
         counter("atpg.decisions").inc(result.decisions)
         counter("atpg.implications").inc(result.implications)
@@ -446,6 +452,8 @@ class AtpgEngine:
                 else (100.0 if opts.fault_model != "stuck" else 0.0)
             ),
             abort_reasons=abort_reasons,
+            implications=commit.total_implications,
+            backtracks=commit.total_backtracks,
         )
 
     def _podem_jobs(self, opts: AtpgOptions, total_faults: int) -> int:

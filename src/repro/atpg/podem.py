@@ -7,6 +7,29 @@ Implements the classic objective / backtrace / imply loop with:
 - X-path pruning,
 - a backtrack limit and a per-fault CPU budget (aborts are reported, which
   is exactly what produces the "ATPG Eff. %" column of the paper's tables).
+
+The engine runs on the flat-index layout of
+:class:`~repro.atpg.sequential.UnrolledModel`, where the copy of net ``n``
+in frame ``f`` is the int key ``f * num_nets + n``:
+
+- the values of one search live in one ``bytearray`` (V0, V1, D, D', X as
+  0..4), copied per fault from the model's fault-free base plane, and an
+  assignment's undo log is a flat list of ``key, old value`` int pairs;
+- a gate evaluates through flat 5x5 tables, one lookup per input pair;
+- implication is an event queue over the model's fanout rows, which keep
+  the netlist's fanout order with the next-frame D->Q edges last;
+- the keys carrying D/D' form an int set kept exact on every value write;
+  the D-frontier (X-valued gates reading one of them) is derived from it
+  when the objective needs it.
+
+Every decision is a function of the netlist structure alone.  The objective
+visits D-frontier gates in ``(-level, net)`` order: deepest first, ties by
+net id.  So the status, the vectors and the effort counters (decisions,
+backtracks, implications) of a search depend only on the model, the fault
+and the backtrack limit, unless the CPU limit fires first.
+``tests/podem_reference.py`` holds the dict-keyed engine this one replaced,
+and ``tests/test_podem_differential.py`` checks the two agree fault by
+fault.
 """
 
 from __future__ import annotations
@@ -16,59 +39,23 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs import CpuTimer, Deadline, progress
-from repro.synth.netlist import GateType
+from repro.atpg.arena import (OP_AND, OP_BUF, OP_NAND, OP_NOR, OP_NOT,
+                              OP_OR, OP_XNOR, OP_XOR)
 from repro.atpg.faults import Fault
-from repro.atpg.sequential import Key, UnrolledModel
-from repro.atpg.values import (
-    V0,
-    V1,
-    VX,
-    from_components,
-    good_bit,
-    is_d_value,
-    v_and,
-    v_not,
-    v_or,
-    v_xor,
-)
+from repro.atpg.sequential import FOLD_TABLE, OP_DFF, UnrolledModel
+from repro.atpg.values import (ALL_VALUES, V0, V1, VX, from_components,
+                               good_bit, is_d_value)
 
-_CONTROLLING = {
-    GateType.AND: 0,
-    GateType.NAND: 0,
-    GateType.OR: 1,
-    GateType.NOR: 1,
-}
-_INVERTING = {GateType.NAND, GateType.NOR, GateType.NOT, GateType.XNOR}
-
-
-def eval_gate_values(gtype: GateType, input_keys: Sequence[Key],
-                     val: Dict[Key, int]) -> int:
-    """Five-valued evaluation of one gate over a value map."""
-    get = val.get
-    if gtype is GateType.BUF:
-        return get(input_keys[0], VX)
-    if gtype is GateType.NOT:
-        return v_not(get(input_keys[0], VX))
-    if gtype is GateType.AND or gtype is GateType.NAND:
-        acc = V1
-        for k in input_keys:
-            acc = v_and(acc, get(k, VX))
-            if acc == V0:
-                break
-        return v_not(acc) if gtype is GateType.NAND else acc
-    if gtype is GateType.OR or gtype is GateType.NOR:
-        acc = V0
-        for k in input_keys:
-            acc = v_or(acc, get(k, VX))
-            if acc == V1:
-                break
-        return v_not(acc) if gtype is GateType.NOR else acc
-    if gtype is GateType.XOR or gtype is GateType.XNOR:
-        acc = V0
-        for k in input_keys:
-            acc = v_xor(acc, get(k, VX))
-        return v_not(acc) if gtype is GateType.XNOR else acc
-    raise ValueError(f"cannot evaluate gate type {gtype}")
+_GOOD = tuple(good_bit(v) for v in ALL_VALUES)
+_IS_D = bytes(is_d_value(v) for v in ALL_VALUES)
+# Per stuck value: a value with its faulty-machine component forced.
+_FAULTIZE = tuple(bytes(from_components(good_bit(v), stuck)
+                        for v in ALL_VALUES) for stuck in (0, 1))
+_CONTROLLING = {OP_AND: 0, OP_NAND: 0, OP_OR: 1, OP_NOR: 1}
+# Value the objective asks of a D-frontier gate's X input (the
+# non-controlling one; XOR/XNOR inputs just need to be known).
+_NONCONTROLLING = {op: 1 - value for op, value in _CONTROLLING.items()}
+_INVERTING = frozenset({OP_NAND, OP_NOR, OP_NOT, OP_XNOR})
 
 
 @dataclass
@@ -99,10 +86,13 @@ class Podem:
         self.fault = fault
         self.backtrack_limit = backtrack_limit
         self.time_limit = time_limit
-        self.val: Dict[Key, int] = {}
-        self._observable_set: Set[Key] = set(model.observable)
-        self._d_nets: Set[Key] = set()       # keys currently carrying D/D'
-        self._frontier: Set[Key] = set()     # gate-output keys on D-frontier
+        n = model.num_nets
+        self._sites = [frame * n + fault.net for frame in range(model.frames)]
+        self._site_set = frozenset(self._sites)
+        self._faultize = _FAULTIZE[fault.value]
+        self.val = bytearray()
+        self._queued = bytearray()  # keys in the implication queue
+        self._d_nets: Set[int] = set()  # keys currently carrying D/D'
         self.backtracks = 0
         self.decisions = 0
         self.implications = 0
@@ -124,12 +114,12 @@ class Podem:
                 status = "aborted"
                 abort_reason = "time_limit"
                 break
-            if self._detected():
+            if not self._d_nets.isdisjoint(model.observable_keys):
                 status = "detected"
                 break
 
             objective = self._objective()
-            target = self._backtrace(objective) if objective else None
+            target = self._backtrace(*objective) if objective else None
             if target is not None:
                 key, value = target
                 self.decisions += 1
@@ -178,291 +168,225 @@ class Podem:
         return result
 
     # -- value maintenance ---------------------------------------------------
+    #
+    # ``_d_nets`` always holds exactly the keys whose value is D or D': every
+    # write below updates it.  The D-frontier is derived from it on demand
+    # (see :meth:`_objective`).
 
     def _init_values(self) -> None:
-        """Initial implication pass: copy the model's fault-free base values
-        and propagate the fault injection from its site copies only."""
-        model = self.model
-        self.val = dict(model.base_values())
-        self._d_nets = set()
-        self._frontier = set()
-        changed: List[Key] = []
-        for key in model.fault_site_keys(self.fault.net):
-            old = self.val.get(key, VX)
-            new = self._faultize(old)
-            if new != old:
-                self.val[key] = new
+        """Copy the model's fault-free base plane and propagate the fault
+        injection from its site copies only."""
+        val = self.val = bytearray(self.model.base_plane)
+        self._queued = bytearray(len(val))
+        faultize = self._faultize
+        changed: List[int] = []
+        for key in self._sites:
+            new = faultize[val[key]]
+            if new != val[key]:
+                val[key] = new
+                if _IS_D[new]:
+                    self._d_nets.add(key)
                 changed.append(key)
         if changed:
-            undo = self._propagate(changed)
-            changed.extend(k for k, _ in undo)
-        self._after_changes(changed)
+            self._imply(changed, [])
 
-    def _propagate(self, seeds: Sequence[Key]) -> List[Tuple[Key, int]]:
-        """Event-driven forward propagation from the given keys."""
-        undo: List[Tuple[Key, int]] = []
-        queue = deque()
-        seen_in_queue = set()
-        for seed in seeds:
-            for nxt in self.model.fanout_keys(seed):
-                if nxt not in seen_in_queue:
-                    queue.append(nxt)
-                    seen_in_queue.add(nxt)
-        while queue:
-            current = queue.popleft()
-            seen_in_queue.discard(current)
-            old_val = self.val.get(current, VX)
-            new_val = self._eval_key(current)
-            if new_val == old_val:
-                continue
-            undo.append((current, old_val))
-            self.implications += 1
-            self.val[current] = new_val
-            for nxt in self.model.fanout_keys(current):
-                if nxt not in seen_in_queue:
-                    queue.append(nxt)
-                    seen_in_queue.add(nxt)
-        return undo
+    def _imply(self, seeds: Sequence[int], undo: List[int]) -> None:
+        """Event-driven forward implication from the given keys.
 
-    def _after_changes(self, changed: Sequence[Key]) -> None:
-        """Incrementally update D-net and D-frontier sets."""
+        Re-evaluates every reader of a changed key, first in first out,
+        and appends a ``key, old value`` pair to ``undo`` per change.
+        """
         model = self.model
         val = self.val
-        affected: Set[Key] = set()
-        for key in changed:
-            value = val.get(key, VX)
-            if is_d_value(value):
-                self._d_nets.add(key)
-            else:
-                self._d_nets.discard(key)
-            frame, net = key
-            if net in model.driver:
-                affected.add(key)
-            for gate in model.fanout.get(net, []):
-                affected.add((frame, gate.output))
-        for out_key in affected:
-            frame, net = out_key
-            gate = model.driver.get(net)
-            if gate is None:
-                continue
-            if val.get(out_key, VX) == VX and any(
-                is_d_value(val.get((frame, i), VX)) for i in gate.inputs
-            ):
-                self._frontier.add(out_key)
-            else:
-                self._frontier.discard(out_key)
-
-    def _faultize(self, value: int) -> int:
-        return from_components(good_bit(value), self.fault.value)
-
-    def _eval_key(self, key: Key) -> int:
-        model = self.model
-        drv = model.driver_of(key)
-        if drv is None:
-            value = self.val.get(key, VX)
-        else:
-            kind, gate, input_keys = drv
-            if kind == "dff":
-                value = self.val.get(input_keys[0], VX)
-            else:
-                value = eval_gate_values(gate.type, input_keys, self.val)
-        if key[1] == self.fault.net:
-            value = self._faultize(value)
-        return value
-
-    def _assign(self, key: Key, bit: int) -> List[Tuple[Key, int]]:
-        """Assign a PI/PIER key and propagate; returns the undo log."""
-        undo: List[Tuple[Key, int]] = []
-        old = self.val.get(key, VX)
-        new = V1 if bit else V0
-        if key[1] == self.fault.net:
-            new = self._faultize(new)
-        if new == old:
-            return undo
-        undo.append((key, old))
-        self.val[key] = new
-        queue = deque(self.model.fanout_keys(key))
-        seen_in_queue = set(queue)
+        fanin, table, fanout = model.key_fanin, model.key_table, \
+            model.key_fanout
+        ops = model.key_op
+        sites, faultize = self._site_set, self._faultize
+        d_nets = self._d_nets
+        queued = self._queued
+        queue = deque()
+        push, pop = queue.append, queue.popleft
+        for seed in seeds:
+            for nxt in fanout[seed]:
+                if not queued[nxt]:
+                    queued[nxt] = 1
+                    push(nxt)
+        changes = 0
         while queue:
-            current = queue.popleft()
-            seen_in_queue.discard(current)
-            old_val = self.val.get(current, VX)
-            new_val = self._eval_key(current)
-            if new_val == old_val:
+            current = pop()
+            queued[current] = 0
+            ins = fanin[current]  # sequential.evaluate_key, inlined
+            if len(ins) == 2:
+                new = table[current][val[ins[0]] * 5 + val[ins[1]]]
+            elif len(ins) == 1:
+                new = table[current][val[ins[0]]]
+            else:
+                fold = FOLD_TABLE[ops[current]]
+                new = val[ins[0]]
+                for i in ins[1:-1]:
+                    new = fold[new * 5 + val[i]]
+                new = table[current][new * 5 + val[ins[-1]]]
+            if current in sites:
+                new = faultize[new]
+            old = val[current]
+            if new == old:
                 continue
-            undo.append((current, old_val))
-            self.implications += 1
-            self.val[current] = new_val
-            for nxt in self.model.fanout_keys(current):
-                if nxt not in seen_in_queue:
-                    queue.append(nxt)
-                    seen_in_queue.add(nxt)
-        self._after_changes([k for k, _ in undo])
+            val[current] = new
+            undo += (current, old)
+            changes += 1
+            if _IS_D[new]:
+                d_nets.add(current)
+            elif _IS_D[old]:
+                d_nets.discard(current)
+            for nxt in fanout[current]:
+                if not queued[nxt]:
+                    queued[nxt] = 1
+                    push(nxt)
+        self.implications += changes
+
+    def _assign(self, key: int, bit: int) -> List[int]:
+        """Assign a PI/PIER key and propagate; returns the undo log."""
+        old = self.val[key]
+        new = V1 if bit else V0
+        if key in self._site_set:
+            new = self._faultize[new]
+        if new == old:
+            return []
+        undo = [key, old]
+        self.val[key] = new
+        if _IS_D[new]:
+            self._d_nets.add(key)
+        self._imply((key,), undo)
         return undo
 
-    def _revert(self, undo: List[Tuple[Key, int]]) -> None:
-        for key, old in reversed(undo):
-            if old == VX:
-                self.val.pop(key, None)
-            else:
-                self.val[key] = old
-        self._after_changes([k for k, _ in undo])
+    def _revert(self, undo: List[int]) -> None:
+        val = self.val
+        d_nets = self._d_nets
+        for i in range(len(undo) - 2, -1, -2):
+            key, old = undo[i], undo[i + 1]
+            if _IS_D[old]:
+                d_nets.add(key)
+            elif _IS_D[val[key]]:
+                d_nets.discard(key)
+            val[key] = old
 
     # -- search guidance -------------------------------------------------------
 
-    def _detected(self) -> bool:
-        if len(self._d_nets) < len(self._observable_set):
-            return any(k in self._observable_set for k in self._d_nets)
-        return any(k in self._d_nets for k in self._observable_set)
-
-    def _fault_activated(self) -> bool:
-        val = self.val
-        for key in self.model.fault_site_keys(self.fault.net):
-            if is_d_value(val.get(key, VX)):
-                return True
-        return False
-
-    def _objective(self) -> Optional[Tuple[Key, int]]:
+    def _objective(self) -> Optional[Tuple[int, int]]:
         model = self.model
         val = self.val
+        controllable = model.key_controllable
 
-        if not self._fault_activated():
+        if not any(_IS_D[val[key]] for key in self._sites):
             desired = 1 - self.fault.value
-            for key in reversed(model.fault_site_keys(self.fault.net)):
-                if val.get(key, VX) == VX and model.is_controllable(key):
+            for key in reversed(self._sites):
+                if val[key] == VX and controllable[key]:
                     return (key, desired)
             return None
 
         if not self._x_path_exists():
             return None
 
-        # Propagate: pick the D-frontier gate closest to the outputs.
-        frontier = self._d_frontier()
-        if not frontier:
-            return None
-        frontier.sort(key=lambda item: -model.level(item[0]))
-        for out_key, gtype, input_keys in frontier:
-            ctrl = _CONTROLLING.get(gtype)
-            noncontrolling = 1 - ctrl if ctrl is not None else 0
-            for in_key in input_keys:
-                if val.get(in_key, VX) == VX and model.is_controllable(in_key):
+        # Propagate: pick the D-frontier gate closest to the outputs.  The
+        # frontier is every gate with an X output reading a D/D' key.
+        ops, fanin, fanout = model.key_op, model.key_fanin, model.key_fanout
+        frontier = {gate for key in self._d_nets for gate in fanout[key]
+                    if val[gate] == VX and ops[gate] < OP_DFF}
+        level = model.key_level
+        for out_key in sorted(frontier, key=lambda k: (-level[k], k)):
+            noncontrolling = _NONCONTROLLING.get(ops[out_key], 0)
+            for in_key in fanin[out_key]:
+                if val[in_key] == VX and controllable[in_key]:
                     return (in_key, noncontrolling)
         return None
-
-    def _d_frontier(self) -> List[Tuple[Key, GateType, List[Key]]]:
-        """Gates with a D input and an X output, in all frames."""
-        model = self.model
-        out: List[Tuple[Key, GateType, List[Key]]] = []
-        for out_key in self._frontier:
-            frame, net = out_key
-            gate = model.driver[net]
-            out.append((out_key, gate.type, [(frame, i) for i in gate.inputs]))
-        return out
 
     def _x_path_exists(self) -> bool:
         """Some D value can still reach an observable key through X nets."""
         model = self.model
         val = self.val
-        sources = list(self._d_nets)
-        seen: Set[Key] = set()
-        stack = list(sources)
+        fanout = model.key_fanout
+        observable = model.observable_keys
+        if not self._d_nets.isdisjoint(observable):
+            return True
+        seen = set()
+        stack = list(self._d_nets)
         while stack:
-            key = stack.pop()
-            if key in self._observable_set:
-                return True
-            for nxt in model.fanout_keys(key):
-                if nxt in seen:
-                    continue
-                value = val.get(nxt, VX)
-                if value == VX or is_d_value(value):
-                    seen.add(nxt)
-                    if nxt in self._observable_set:
+            for nxt in fanout[stack.pop()]:
+                # X, D and D' are 4, 2 and 3: every value above V1.
+                if val[nxt] > V1 and nxt not in seen:
+                    if nxt in observable:
                         return True
+                    seen.add(nxt)
                     stack.append(nxt)
-        # Direct observation of a D at an observable key is "detected",
-        # handled elsewhere; reaching here means no path remains.
         return False
 
-    def _backtrace(self, objective: Tuple[Key, int]
-                   ) -> Optional[Tuple[Key, int]]:
+    def _backtrace(self, key: int, value: int) -> Optional[Tuple[int, int]]:
         """Map an objective to an unassigned assignable input."""
         model = self.model
         val = self.val
-        key, value = objective
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 100000:
-                return None
-            if model.is_assignable(key) and val.get(key, VX) == VX:
+        ops, fanin, level = model.key_op, model.key_fanin, model.key_level
+        assignable, controllable = model.key_assignable, \
+            model.key_controllable
+        for _ in range(100000):
+            if assignable[key] and val[key] == VX:
                 return (key, value)
-            drv = model.driver_of(key)
-            if drv is None:
-                return None
-            kind, gate, input_keys = drv
-            if kind == "dff":
-                key = input_keys[0]
-                continue
-            gtype = gate.type
-            if gtype is GateType.BUF:
-                key = input_keys[0]
-                continue
-            if gtype is GateType.NOT:
-                key = input_keys[0]
+            op = ops[key]
+            ins = fanin[key]
+            if op == OP_BUF or op == OP_DFF:
+                key = ins[0]
+            elif op == OP_NOT:
+                key = ins[0]
                 value = 1 - value
-                continue
-            if gtype in (GateType.AND, GateType.NAND, GateType.OR,
-                         GateType.NOR):
-                if gtype in _INVERTING:
+            elif op in _CONTROLLING:
+                if op in _INVERTING:
                     value = 1 - value
-                ctrl = _CONTROLLING[gtype]
-                candidates = [
-                    k for k in input_keys
-                    if val.get(k, VX) == VX and model.is_controllable(k)
-                ]
+                candidates = [k for k in ins
+                              if val[k] == VX and controllable[k]]
                 if not candidates:
                     return None
-                if value == ctrl:
+                if value == _CONTROLLING[op]:
                     # One controlling input suffices: pick the easiest.
-                    key = min(candidates, key=model.level)
+                    key = min(candidates, key=level.__getitem__)
                 else:
                     # All inputs must be non-controlling: pick the hardest.
-                    key = max(candidates, key=model.level)
-                continue
-            if gtype in (GateType.XOR, GateType.XNOR):
-                if gtype is GateType.XNOR:
+                    key = max(candidates, key=level.__getitem__)
+            elif op == OP_XOR or op == OP_XNOR:
+                if op == OP_XNOR:
                     value = 1 - value
                 parity = 0
                 candidates = []
-                for k in input_keys:
-                    bit = good_bit(val.get(k, VX))
+                for k in ins:
+                    bit = _GOOD[val[k]]
                     if bit is None:
-                        if model.is_controllable(k):
+                        if controllable[k]:
                             candidates.append(k)
                     else:
                         parity ^= bit
                 if not candidates:
                     return None
-                key = min(candidates, key=model.level)
+                key = min(candidates, key=level.__getitem__)
                 value = value ^ parity
-                continue
-            return None
+            else:  # a source that is assigned or cannot be assigned
+                return None
+        return None
 
     # -- vector extraction -------------------------------------------------------
 
     def _extract_vectors(self) -> Tuple[List[Dict[int, int]], Dict[int, int]]:
         model = self.model
         val = self.val
+        n = model.num_nets
         vectors: List[Dict[int, int]] = []
         for frame in range(model.frames):
+            off = frame * n
             vec: Dict[int, int] = {}
             for pi in model.base_pis:
-                bit = good_bit(val.get((frame, pi), VX))
+                bit = _GOOD[val[off + pi]]
                 vec[pi] = bit if bit is not None else 0
             vectors.append(vec)
         init_state: Dict[int, int] = {}
         for q in model.pier_qs:
-            bit = good_bit(val.get((0, q), VX))
+            bit = _GOOD[val[q]]
             if bit is not None:
                 init_state[q] = bit
         return vectors, init_state

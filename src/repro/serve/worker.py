@@ -187,6 +187,8 @@ def _op_atpg(spec: JobSpec) -> Dict[str, Any]:
         "transient_total": report.transient_total,
         "transient_detected": report.transient_detected,
         "transient_coverage_percent": report.transient_coverage_percent,
+        "implications": report.implications,
+        "backtracks": report.backtracks,
         "cpu_seconds": report.total_seconds,
     })
     return row

@@ -59,6 +59,11 @@ def _assert_identical(serial, parallel):
     assert p_rep.efficiency_percent == s_rep.efficiency_percent
     assert p_rep.num_vectors == s_rep.num_vectors
     assert p_rep.detected == s_rep.detected
+    # PODEM effort is summed over committed searches only, so the
+    # parallel run's speculation does not show in it.
+    assert s_rep.implications > 0
+    assert p_rep.implications == s_rep.implications
+    assert p_rep.backtracks == s_rep.backtracks
 
 
 class TestShouldParallelize:

@@ -82,7 +82,7 @@ class TestStructure:
 
 class TestBaseValues:
     def test_matches_fresh_evaluation(self):
-        from repro.atpg.podem import eval_gate_values
+        from tests.podem_reference import eval_gate_values
 
         nl = netlist_of(fsm_source())
         model = UnrolledModel(nl, 3)
@@ -125,3 +125,35 @@ class TestBaseValues:
         base = model.base_values()
         assert base[(0, tied)] == V1
         assert base[(1, tied)] == V1
+
+
+class TestFlatLayout:
+    """The flat key rows PODEM runs on describe the same unrolled circuit
+    as the ``(frame, net)`` API."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_match_tuple_api(self, seed):
+        from tests.sim_helpers import random_netlist
+
+        nl = random_netlist(seed, num_pis=4, num_dffs=3, num_gates=25)
+        model = UnrolledModel(nl, 3, pier_qs={nl.dffs()[0].output})
+        n = model.num_nets
+
+        def flat(key):
+            return key[0] * n + key[1]
+
+        for frame in range(3):
+            for net in range(n):
+                key = (frame, net)
+                k = flat(key)
+                drv = model.driver_of(key)
+                assert model.key_fanin[k] == (
+                    tuple(map(flat, drv[2])) if drv else ())
+                # Duplicate readers (a gate reading a net twice) once.
+                assert model.key_fanout[k] == tuple(
+                    dict.fromkeys(map(flat, model.fanout_keys(key))))
+                assert model.key_level[k] == model.level(key)
+                assert model.key_controllable[k] == \
+                    model.is_controllable(key)
+                assert model.key_assignable[k] == model.is_assignable(key)
+        assert model.observable_keys == set(map(flat, model.observable))

@@ -144,6 +144,8 @@ class TestPipelineRoundTrip:
             job = client.wait(response["job"]["id"], timeout=120)
             assert job["status"] == "done", job["error"]
             assert job["result"]["coverage_percent"] == 100.0
+            # PODEM effort counters ride along (CI gates them on arm2).
+            assert {"implications", "backtracks"} <= set(job["result"])
 
             response = client.submit({
                 "op": "analyze", "source": TINY, "top": "topm",
