@@ -27,9 +27,9 @@ visits D-frontier gates in ``(-level, net)`` order: deepest first, ties by
 net id.  So the status, the vectors and the effort counters (decisions,
 backtracks, implications) of a search depend only on the model, the fault
 and the backtrack limit, unless the CPU limit fires first.
-``tests/podem_reference.py`` holds the dict-keyed engine this one replaced,
-and ``tests/test_podem_differential.py`` checks the two agree fault by
-fault.
+``tests/test_podem.py`` checks the verdicts independently of the engine:
+untestable ones by exhaustive simulation, detected ones by replaying the
+test in the fault simulator.
 """
 
 from __future__ import annotations

@@ -8,33 +8,26 @@ assignable (the register can be loaded from the chip pins) and its last-frame
 D is observable (it can be stored back out).
 
 The model is built once per (netlist, frames, PIERs) and shared by every
-PODEM search on it.  It offers two views of the unrolled circuit:
-
-- The **flat-index layout** the PODEM engine runs on.  Every ``(frame,
-  net)`` pair is one int key ``frame * num_nets + net``, and each ``key_*``
-  row holds one entry per key: the driver's opcode, input keys and 5-valued
-  evaluation table, the fanout keys, the level, and whether the key is
-  controllable or assignable.  ``base_plane`` holds the fault-free values
-  with every input unassigned.  Opcodes and gate inputs come from the
-  netlist's :class:`~repro.atpg.arena.NetlistArena`.  All of it is built in
-  the constructor, so a fork pool that builds its models before forking
-  shares them copy-on-write.
-- The **tuple-key API** (:meth:`driver_of`, :meth:`fanout_keys`,
-  :meth:`base_values`, ...) over ``(frame, net)`` pairs, which the
-  test-only reference engine (``tests/podem_reference.py``) runs on.
+PODEM search on it.  The search runs on its **flat-index layout**: every
+``(frame, net)`` pair is one int key ``frame * num_nets + net``, and each
+``key_*`` row holds one entry per key: the driver's opcode, input keys and
+5-valued evaluation table, the fanout keys, the level, and whether the key
+is controllable or assignable.  ``base_plane`` holds the fault-free values
+with every input unassigned.  Opcodes and gate inputs come from the
+netlist's :class:`~repro.atpg.arena.NetlistArena`.  All of it is built in
+the constructor, so a fork pool that builds its models before forking
+shares them copy-on-write.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.synth.netlist import CONST0, CONST1, Gate, GateType, Netlist
+from repro.synth.netlist import CONST0, CONST1, Gate, Netlist
 from repro.atpg.arena import (OP_AND, OP_BUF, OP_NAND, OP_NOR, OP_NOT,
                               OP_OR, OP_XNOR, OP_XOR, get_arena)
 from repro.atpg.values import (ALL_VALUES, AND_TABLE, NOT_TABLE, OR_TABLE,
                                V0, V1, VX, XOR_TABLE)
-
-Key = Tuple[int, int]  # (frame, net)
 
 # Key opcodes beyond the arena's combinational ones: a later-frame flop Q
 # (a copy of the previous frame's D) and a source (PI, frame-0 Q,
@@ -96,42 +89,20 @@ class UnrolledModel:
         excluded = set(exclude_pis or ())
 
         self.order: List[Gate] = netlist.topological_order()
-        self.driver: Dict[int, Gate] = {g.output: g for g in netlist.gates
-                                        if g.type is not GateType.DFF}
         self.dffs: List[Gate] = netlist.dffs()
-        self.dff_of_q: Dict[int, Gate] = {g.output: g for g in self.dffs}
 
         # Fanout within a frame (combinational gates reading each net).
         self.fanout: Dict[int, List[Gate]] = {}
         for gate in self.order:
             for inp in gate.inputs:
                 self.fanout.setdefault(inp, []).append(gate)
-        # Nets that are D inputs of flops (cross-frame edges).
-        self.d_to_qs: Dict[int, List[int]] = {}
-        for dff in self.dffs:
-            self.d_to_qs.setdefault(dff.inputs[0], []).append(dff.output)
 
         self.base_pis: List[int] = [p for p in netlist.pis
                                     if p not in excluded]
-        self.assignable: List[Key] = []
-        for frame in range(frames):
-            for pi in self.base_pis:
-                self.assignable.append((frame, pi))
-        for q in sorted(self.pier_qs):
-            self.assignable.append((0, q))
-
-        self.observable: List[Key] = []
-        for frame in range(frames):
-            for po in netlist.pos:
-                self.observable.append((frame, po))
-        for q in sorted(self.pier_qs):
-            dff = self.dff_of_q[q]
-            self.observable.append((frames - 1, dff.inputs[0]))
 
         # Combinational level of each net within a frame (PIs/Qs at 0).
         self._levels = netlist.levels(self.order)
         self._controllable = self._compute_controllable()
-        self._base_values: Optional[Dict[Key, int]] = None
         self._build_flat()
 
     # -- flat-index layout -------------------------------------------------------
@@ -190,8 +161,11 @@ class UnrolledModel:
                 self.key_fanin[key] = (d_key,)
                 self.key_table[key] = _IDENT
                 self.key_fanout[d_key] += (key,)
+        # Every frame's POs, and the last-frame D of each PIER flop.
         self.observable_keys = frozenset(
-            frame * n + net for frame, net in self.observable)
+            [frame * n + po for frame in range(frames)
+             for po in self.netlist.pos]
+            + [(frames - 1) * n + d_of_q[q] for q in self.pier_qs])
 
         plane = bytearray([VX]) * size
         fanin, table, ops = self.key_fanin, self.key_table, self.key_op
@@ -214,7 +188,7 @@ class UnrolledModel:
         """Base nets whose value can (possibly) be influenced by assignable
         inputs within a frame chain.  Nets fed only by constants are not
         controllable; frame-0 Q nets are handled frame-sensitively in
-        :meth:`is_controllable`."""
+        ``key_controllable``."""
         controllable: Set[int] = set(self.base_pis) | set(self.pier_qs)
         for dff in self.dffs:
             controllable.add(dff.output)  # later frames: via previous frame
@@ -228,76 +202,3 @@ class UnrolledModel:
                     controllable.add(gate.output)
                     changed = True
         return controllable
-
-    # -- tuple-key API ------------------------------------------------------------
-
-    def level(self, key: Key) -> int:
-        frame, net = key
-        base = len(self._levels)
-        return frame * base + self._levels.get(net, 0)
-
-    def is_assignable(self, key: Key) -> bool:
-        frame, net = key
-        if net in self.pier_qs:
-            return frame == 0
-        return net in self.base_pis
-
-    def is_x_source(self, key: Key) -> bool:
-        """True when the key is a frame-0 flop output that cannot be set."""
-        frame, net = key
-        return frame == 0 and net in self.dff_of_q and net not in self.pier_qs
-
-    def is_controllable(self, key: Key) -> bool:
-        frame, net = key
-        if self.is_x_source(key):
-            return False
-        return net in self._controllable
-
-    def driver_of(self, key: Key) -> Optional[Tuple[str, object, List[Key]]]:
-        """Driving structure of a key.
-
-        Returns ``("gate", Gate, input_keys)`` for combinational gates,
-        ``("dff", Gate, [d_key])`` for cross-frame flop edges, or ``None``
-        for sources (PIs, frame-0 Qs, constants, floating nets).
-        """
-        frame, net = key
-        gate = self.driver.get(net)
-        if gate is not None:
-            return ("gate", gate, [(frame, i) for i in gate.inputs])
-        dff = self.dff_of_q.get(net)
-        if dff is not None and frame > 0:
-            return ("dff", dff, [(frame - 1, dff.inputs[0])])
-        return None
-
-    def fanout_keys(self, key: Key) -> List[Key]:
-        """Keys whose value depends directly on ``key``."""
-        frame, net = key
-        out = [(frame, g.output) for g in self.fanout.get(net, [])]
-        if frame + 1 < self.frames:
-            for q in self.d_to_qs.get(net, []):
-                out.append((frame + 1, q))
-        return out
-
-    def fault_site_keys(self, net: int) -> List[Key]:
-        """All frame copies of a fault site."""
-        return [(frame, net) for frame in range(self.frames)]
-
-    def base_values(self) -> Dict[Key, int]:
-        """The base plane as a ``(frame, net)`` map.
-
-        Holds the constants and every gate output of every frame, and the
-        flop Qs of every frame after the first; other keys are X.
-        """
-        if self._base_values is None:
-            plane, n = self.base_plane, self.num_nets
-            nets = [CONST0, CONST1] + [g.output for g in self.order]
-            val: Dict[Key, int] = {}
-            for frame in range(self.frames):
-                for net in nets:
-                    val[(frame, net)] = plane[frame * n + net]
-                if frame > 0:
-                    for dff in self.dffs:
-                        val[(frame, dff.output)] = plane[
-                            frame * n + dff.output]
-            self._base_values = val
-        return self._base_values

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 class NetlistError(Exception):
@@ -61,6 +62,61 @@ class Gate:
 
 CONST0 = 0
 CONST1 = 1
+
+# A gate as a plain ``(type, output, inputs)`` tuple, the form the optimizer
+# passes work on.
+Row = Tuple[GateType, int, Tuple[int, ...]]
+
+
+def topological_rows(rows: Sequence[Row], pis: Iterable[int],
+                     pos: Iterable[int],
+                     net_name: Callable[[int], str]) -> List[Row]:
+    """The combinational ``rows`` in topological order.
+
+    Constants, ``pis`` and flip-flop outputs are sources; a net no row
+    drives is floating and ends its path.  The order is the depth-first
+    post-order from each PO in ``pos``, then each flip-flop's D net, then
+    every remaining gate in row order, visiting a gate's inputs left to
+    right.  The walk keeps its own stack, so path depth is not bounded by
+    the interpreter's recursion limit.  Raises on combinational cycles.
+    """
+    driver: Dict[int, Row] = {}
+    done: Dict[int, bool] = dict.fromkeys(pis, True)  # False: on the path
+    done[CONST0] = done[CONST1] = True
+    d_nets: List[int] = []
+    for row in rows:
+        if row[0] is GateType.DFF:
+            done[row[1]] = True
+            d_nets.append(row[2][0])
+        else:
+            driver[row[1]] = row
+
+    order: List[Row] = []
+    for root in chain(pos, d_nets, driver):
+        row = driver.get(root)
+        if row is None or root in done:
+            continue
+        done[root] = False
+        stack = [(row, iter(row[2]))]
+        while stack:
+            row, pending = stack[-1]
+            for net in pending:
+                state = done.get(net)
+                if state is None:
+                    sub = driver.get(net)
+                    if sub is not None:
+                        done[net] = False
+                        stack.append((sub, iter(sub[2])))
+                        break
+                elif not state:
+                    raise NetlistError(
+                        f"combinational cycle through net {net_name(net)}"
+                    )
+            else:
+                stack.pop()
+                done[row[1]] = True
+                order.append(row)
+    return order
 
 
 class Netlist:
@@ -251,42 +307,12 @@ class Netlist:
 
     def topological_order(self) -> List[Gate]:
         """Combinational gates in topological order (DFF outputs, PIs and
-        constants are sources).  Raises on combinational cycles."""
+        constants are sources), as :func:`topological_rows` orders them.
+        Raises on combinational cycles."""
         driver = self._driver
-        order: List[Gate] = []
-        state: Dict[int, int] = {}  # net -> 0 visiting, 1 done
-
-        sources = set(self.pis) | {CONST0, CONST1}
-        for gate in self.gates:
-            if gate.type is GateType.DFF:
-                sources.add(gate.output)
-
-        def visit(net: int) -> None:
-            if net in sources or state.get(net) == 1:
-                return
-            if state.get(net) == 0:
-                raise NetlistError(
-                    f"combinational cycle through net {self.net_name(net)}"
-                )
-            gate = driver.get(net)
-            if gate is None:
-                return  # floating; treated as X by simulators
-            state[net] = 0
-            for inp in gate.inputs:
-                visit(inp)
-            state[net] = 1
-            order.append(gate)
-
-        for po in self.pos:
-            visit(po)
-        for dff in self.dffs():
-            visit(dff.inputs[0])
-        # Any remaining gates (not in the PO/DFF cone) in declaration order.
-        emitted = {id(g) for g in order}
-        for gate in self.gates:
-            if gate.type is not GateType.DFF and id(gate) not in emitted:
-                visit(gate.output)
-        return order
+        rows = [(g.type, g.output, g.inputs) for g in self.gates]
+        return [driver[row[1]] for row in
+                topological_rows(rows, self.pis, self.pos, self.net_name)]
 
     def clone(self) -> "Netlist":
         other = Netlist(self.name)

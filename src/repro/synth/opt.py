@@ -8,54 +8,85 @@ elimination deletes everything outside the cone of influence of the outputs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from repro.synth.netlist import (
     CONST0,
     CONST1,
-    Gate,
     GateType,
     Netlist,
+    Row,
     SYMMETRIC_TYPES,
+    topological_rows,
 )
 
-
-def _resolve(alias: Dict[int, int], net: int) -> int:
-    """Follow alias chains with path compression."""
-    seen = []
-    while net in alias:
-        seen.append(net)
-        net = alias[net]
-    for s in seen:
-        alias[s] = net
-    return net
+# A pass maps ``(netlist, rows, pos)`` to ``(rows, alias)``: ``netlist``
+# supplies the PIs and net names, which no pass changes; ``rows`` are the
+# current gates and ``pos`` the current PO nets; ``alias`` sends each net
+# the pass deleted to the net that now carries its value.  Alias targets
+# are final (a source, a floating net or a kept gate's output), so one
+# lookup resolves a net.
+RowPass = Callable[[Netlist, List[Row], Sequence[int]],
+                   Tuple[List[Row], Dict[int, int]]]
 
 
-def _rebuild(netlist: Netlist, keep: Sequence[Gate],
-             alias: Dict[int, int]) -> Netlist:
-    """Create a new netlist with ``keep`` gates, inputs routed via ``alias``."""
+def _rows(netlist: Netlist) -> List[Row]:
+    return [(g.type, g.output, g.inputs) for g in netlist.gates]
+
+
+def _dff_rows(rows: List[Row], alias: Dict[int, int]) -> List[Row]:
+    """The flip-flops of ``rows`` in row order, D nets resolved."""
+    return [(GateType.DFF, output, (alias.get(inputs[0], inputs[0]),))
+            for gtype, output, inputs in rows if gtype is GateType.DFF]
+
+
+def _build(netlist: Netlist, rows: List[Row],
+           po_pairs: Sequence[Tuple[int, str]]) -> Netlist:
+    """A netlist over ``netlist``'s nets, names, PIs and regions with
+    ``rows`` as its gates and ``po_pairs`` as its POs.  Gates go in through
+    ``add_gate_to``, which checks them."""
     out = Netlist(netlist.name)
     out._names = list(netlist._names)
     out.pis = list(netlist.pis)
     regions = getattr(netlist, "regions", {})
     out.regions = dict(regions)  # type: ignore[attr-defined]
-    for gate in keep:
-        inputs = tuple(_resolve(alias, i) for i in gate.inputs)
-        out.add_gate_to(gate.type, gate.output, inputs)
-    for net, name in netlist.po_pairs:
-        resolved = _resolve(alias, net)
-        out.add_po(resolved, name)
+    for gtype, output, inputs in rows:
+        out.add_gate_to(gtype, output, inputs)
+    for net, name in po_pairs:
+        out.add_po(net, name)
     return out
 
 
-_INVERSE = {
-    GateType.AND: GateType.NAND,
-    GateType.NAND: GateType.AND,
-    GateType.OR: GateType.NOR,
-    GateType.NOR: GateType.OR,
-    GateType.XOR: GateType.XNOR,
-    GateType.XNOR: GateType.XOR,
-}
+def _run(row_pass: RowPass, netlist: Netlist) -> Netlist:
+    rows, alias = row_pass(netlist, _rows(netlist), netlist.pos)
+    return _build(netlist, rows, [(alias.get(net, net), name)
+                                  for net, name in netlist.po_pairs])
+
+
+def _propagate_rows(netlist: Netlist, rows: List[Row],
+                    pos: Sequence[int]) -> Tuple[List[Row], Dict[int, int]]:
+    alias: Dict[int, int] = {}
+    keep: List[Row] = []
+    not_input_of: Dict[int, int] = {}  # NOT output net -> its input net
+
+    for gtype, output, inputs in topological_rows(rows, netlist.pis, pos,
+                                                  netlist.net_name):
+        result = _fold_gate(gtype, [alias.get(i, i) for i in inputs])
+        if not isinstance(result, int) and result[0] is GateType.NOT:
+            # Collapse inverter chains: NOT(NOT(x)) == x.
+            inner = not_input_of.get(result[1][0])
+            if inner is not None:
+                result = inner
+        if isinstance(result, int):
+            alias[output] = result
+        else:
+            gtype, new_inputs = result
+            if gtype is GateType.NOT:
+                not_input_of[output] = new_inputs[0]
+            keep.append((gtype, output, tuple(new_inputs)))
+
+    keep.extend(_dff_rows(rows, alias))
+    return keep, alias
 
 
 def constant_propagate(netlist: Netlist) -> Netlist:
@@ -65,31 +96,7 @@ def constant_propagate(netlist: Netlist) -> Netlist:
     or total inputs are constant, and strips constant inputs from
     AND/OR-family gates.
     """
-    alias: Dict[int, int] = {}
-    keep: List[Gate] = []
-    not_input_of: Dict[int, int] = {}  # NOT output net -> its input net
-
-    for gate in netlist.topological_order():
-        inputs = [_resolve(alias, i) for i in gate.inputs]
-        result = _fold_gate(gate.type, inputs)
-        if not isinstance(result, int) and result[0] is GateType.NOT:
-            # Collapse inverter chains: NOT(NOT(x)) == x.
-            inner = not_input_of.get(result[1][0])
-            if inner is not None:
-                result = inner
-        if isinstance(result, int):
-            alias[gate.output] = result
-        else:
-            gtype, new_inputs = result
-            if gtype is GateType.NOT:
-                not_input_of[gate.output] = new_inputs[0]
-            keep.append(Gate(type=gtype, output=gate.output,
-                             inputs=tuple(new_inputs)))
-
-    for dff in netlist.dffs():
-        keep.append(Gate(type=GateType.DFF, output=dff.output,
-                         inputs=(_resolve(alias, dff.inputs[0]),)))
-    return _rebuild(netlist, keep, alias)
+    return _run(_propagate_rows, netlist)
 
 
 def _fold_gate(gtype: GateType, inputs: List[int]):
@@ -151,30 +158,50 @@ def _fold_gate(gtype: GateType, inputs: List[int]):
     return (GateType.XNOR if parity else GateType.XOR, remaining)
 
 
-def strash(netlist: Netlist) -> Netlist:
-    """Structural hashing: merge gates computing identical functions."""
+def _strash_rows(netlist: Netlist, rows: List[Row],
+                 pos: Sequence[int]) -> Tuple[List[Row], Dict[int, int]]:
     alias: Dict[int, int] = {}
     table: Dict[Tuple, int] = {}
-    keep: List[Gate] = []
+    keep: List[Row] = []
 
-    for gate in netlist.topological_order():
-        inputs = tuple(_resolve(alias, i) for i in gate.inputs)
-        if gate.type in SYMMETRIC_TYPES:
-            key = (gate.type, tuple(sorted(inputs)))
+    for gtype, output, inputs in topological_rows(rows, netlist.pis, pos,
+                                                  netlist.net_name):
+        inputs = tuple([alias.get(i, i) for i in inputs])
+        if gtype in SYMMETRIC_TYPES:
+            key = (gtype, tuple(sorted(inputs)))
         else:
-            key = (gate.type, inputs)
+            key = (gtype, inputs)
         existing = table.get(key)
         if existing is not None:
-            alias[gate.output] = existing
+            alias[output] = existing
         else:
-            table[key] = gate.output
-            keep.append(Gate(type=gate.type, output=gate.output,
-                             inputs=inputs))
+            table[key] = output
+            keep.append((gtype, output, inputs))
 
-    for dff in netlist.dffs():
-        keep.append(Gate(type=GateType.DFF, output=dff.output,
-                         inputs=(_resolve(alias, dff.inputs[0]),)))
-    return _rebuild(netlist, keep, alias)
+    keep.extend(_dff_rows(rows, alias))
+    return keep, alias
+
+
+def strash(netlist: Netlist) -> Netlist:
+    """Structural hashing: merge gates computing identical functions."""
+    return _run(_strash_rows, netlist)
+
+
+def _live_rows(netlist: Netlist, rows: List[Row],
+               pos: Sequence[int]) -> Tuple[List[Row], Dict[int, int]]:
+    driver = {output: inputs for _, output, inputs in rows}
+    live: Set[int] = set()
+    stack = list(pos)
+    while stack:
+        net = stack.pop()
+        if net in live:
+            continue
+        live.add(net)
+        inputs = driver.get(net)
+        if inputs is not None:
+            stack.extend(inputs)
+
+    return [row for row in rows if row[1] in live], {}
 
 
 def remove_dead(netlist: Netlist) -> Netlist:
@@ -183,43 +210,39 @@ def remove_dead(netlist: Netlist) -> Netlist:
     Flip-flops are kept only when reachable (transitively, through their D
     cones) from some primary output.
     """
-    driver = {g.output: g for g in netlist.gates}
-    live: Set[int] = set()
-    stack = list(netlist.pos)
-    while stack:
-        net = stack.pop()
-        if net in live:
-            continue
-        live.add(net)
-        gate = driver.get(net)
-        if gate is not None:
-            stack.extend(gate.inputs)
-
-    keep = [g for g in netlist.gates if g.output in live]
-    return _rebuild(netlist, keep, {})
+    return _run(_live_rows, netlist)
 
 
 def optimize(netlist: Netlist, max_rounds: int = 8) -> Netlist:
-    """Run constant propagation, hashing and DCE to a fixpoint."""
+    """Run constant propagation, hashing and DCE to a fixpoint.
+
+    The passes work on gate rows; one netlist is built, after the last
+    round.
+    """
     from repro.obs import histogram, span
 
     gates_before = len(netlist.gates)
     with span("synth.opt", gates_before=gates_before) as sp:
-        current = netlist
+        rows = _rows(netlist)
+        po_pairs = list(netlist.po_pairs)
         previous_size = None
         rounds = 0
         for _ in range(max_rounds):
             rounds += 1
-            current = constant_propagate(current)
-            current = strash(current)
-            current = remove_dead(current)
-            size = (len(current.gates), current.num_nets)
+            for row_pass in (_propagate_rows, _strash_rows, _live_rows):
+                rows, alias = row_pass(netlist, rows,
+                                       [net for net, _ in po_pairs])
+                po_pairs = [(alias.get(net, net), name)
+                            for net, name in po_pairs]
+            # No pass adds nets, so the gate count alone measures progress.
+            size = len(rows)
             if size == previous_size:
                 break
             previous_size = size
-        sp.set("gates_after", len(current.gates))
+        result = _build(netlist, rows, po_pairs) if rounds else netlist
+        sp.set("gates_after", len(result.gates))
         sp.set("rounds", rounds)
     histogram("synth.opt.gates_removed").observe(
-        gates_before - len(current.gates)
+        gates_before - len(result.gates)
     )
-    return current
+    return result

@@ -11,10 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.atpg.simulator import LogicSimulator
-from repro.designs import small_designs, arm2_source
+from repro.core.extractor import ExtractionMode
+from repro.core.factor import Factor
+from repro.designs import (ARM2_MUTS, arm2_source, filterchip_design,
+                           small_designs)
 from repro.hierarchy import Design
-from repro.synth.elaborate import Elaborator
-from repro.synth.netlist import CONST0, CONST1, GateType, Netlist
+from repro.store import netlist_fingerprint
+from repro.synth.elaborate import Elaborator, synthesize
+from repro.synth.netlist import CONST0, CONST1, GateType, Netlist, NetlistError
 from repro.synth.opt import constant_propagate, optimize, remove_dead, strash
 from repro.verilog.parser import parse_source
 
@@ -151,6 +155,35 @@ class TestStrash:
         assert len(opt.gates) == 3
 
 
+class TestFlopInputs:
+    """A flop's D input follows the net that replaced a deleted gate."""
+
+    def test_buffered_d_input_folds(self):
+        nl = Netlist()
+        a = nl.add_pi("a")
+        q = nl.new_net("q")
+        d = nl.add_gate(GateType.BUF, (a,))
+        nl.add_gate_to(GateType.DFF, q, (d,))
+        nl.add_po(q, "q")
+        opt = constant_propagate(nl)
+        opt.validate()
+        assert [g.inputs for g in opt.dffs()] == [(a,)]
+
+    def test_merged_d_input_follows_survivor(self):
+        nl = Netlist()
+        a = nl.add_pi("a")
+        b = nl.add_pi("b")
+        q = nl.new_net("q")
+        kept = nl.add_gate(GateType.AND, (a, b))
+        merged = nl.add_gate(GateType.AND, (b, a))
+        nl.add_gate_to(GateType.DFF, q, (merged,))
+        nl.add_po(kept, "y")
+        nl.add_po(q, "q")
+        opt = strash(nl)
+        opt.validate()
+        assert [g.inputs for g in opt.dffs()] == [(kept,)]
+
+
 class TestDeadCodeRemoval:
     def test_unreachable_logic_deleted(self):
         nl = Netlist()
@@ -206,3 +239,122 @@ class TestRegionsPreserved:
         opt = optimize(raw)
         regions = getattr(opt, "regions", {})
         assert any(r.startswith("u1.") for r in regions.values())
+
+
+class TestCombinationalCycles:
+    def test_cycle_rejected(self):
+        nl = Netlist()
+        a = nl.add_pi("a")
+        x = nl.new_net("x")
+        y = nl.add_gate(GateType.AND, (a, x))
+        nl.add_gate_to(GateType.OR, x, (y, a))
+        nl.add_po(x, "x")
+        with pytest.raises(NetlistError, match="combinational cycle"):
+            optimize(nl)
+
+
+class TestDeepPaths:
+    def test_5000_gate_chain(self):
+        """The ordering walk keeps its own stack, so a path far deeper than
+        the interpreter's recursion limit levelizes, optimizes and
+        simulates."""
+        nl = Netlist("chain")
+        a, b, c = (nl.add_pi(name) for name in "abc")
+        net = a
+        for i in range(5000):
+            net = nl.add_gate(GateType.XOR, (net, (b, c)[i % 2]))
+        nl.add_po(net, "y")
+
+        order = nl.levelized_order()
+        assert order == nl.gates
+        assert [nl.levels()[g.output] for g in order] == list(range(1, 5001))
+        opt = optimize(nl)
+        assert opt.gates == nl.gates  # nothing to fold, merge or drop
+        # b and c each feed 2500 gates, so y == a.
+        assert simulate_sequence(opt, [{"a": 1, "b": 1, "c": 0},
+                                       {"a": 0, "b": 1, "c": 1}]) == [
+            {"y": 1}, {"y": 0}]
+
+
+# netlist_fingerprint (gates in order, net names, PIs, PO pairs, regions)
+# and gate count, DFFs included, of optimized netlists, recorded before the
+# optimizer moved onto gate rows: optimize must return exactly what it did.
+_COMPOSE_U_DP = (
+    "8e2ace8138cd5dec4f0d760a669e04c98c8ba57276cb10a5e626bd63249d0f6e", 3369)
+_COMPOSE_EXC = (
+    "d2649b63aa3212ee5878a0be44d9aef63d7548b41738be8d7decf2e441d5708b", 3131)
+_CONVENTIONAL = (
+    "2cad1bff7999cee18597ab79432bb7a282ae5ddb2e8d9628fe668c759fd07e96", 4445)
+ARM2_PINS = {
+    ("compose", "arm_alu"): _COMPOSE_U_DP,
+    ("compose", "regfile_struct"): _COMPOSE_U_DP,
+    ("compose", "forward"): _COMPOSE_U_DP,
+    ("compose", "exc"): _COMPOSE_EXC,
+    ("conventional", "arm_alu"): _CONVENTIONAL,
+    ("conventional", "regfile_struct"): _CONVENTIONAL,
+    ("conventional", "forward"): _CONVENTIONAL,
+    ("conventional", "exc"): _CONVENTIONAL,
+}
+SMALL_PINS = {
+    "adder": (
+        "4baaf5a3235448f30dbef302f1858e4db7db59ab8c7d0416a6079d60a56108a7",
+        26),
+    "counter": (
+        "7c33c1478ec5f0f22e7f1d1a8290e10eb5bc23158ba2c46764820045aa2541c9",
+        29),
+    "fsm": (
+        "d0e37e48f67f28d3f36216e9b22cdd377a266600bf3d49a26866f1a349bcc2c3",
+        25),
+    "mux_tree": (
+        "06f747a30e3b7bc22dbcaacedc293b1d0a5397c46064e13bca9c2d77f8d1405c",
+        11),
+    "parity": (
+        "e1abb120b0317b1e0a8c95512969ca948a8b138d52f047d6b5d05e4bd3f30e60",
+        8),
+    "shifter": (
+        "248844fee409c2d0004684e2d67209627038980e8d6d5f445d657a5851170ebd",
+        130),
+}
+FILTERCHIP_PIN = (
+    "875ab7cf0ed4c18260090748838a4c0cfaac0f898c3105965672bf72093f8173", 2403)
+
+
+def pin_of(netlist):
+    return netlist_fingerprint(netlist), len(netlist.gates)
+
+
+@pytest.fixture(scope="module")
+def arm2_transformed():
+    """Transformed netlists of every arm2 MUT in both extraction modes,
+    by ``(mode, MUT)``, synthesized with the artifact store off."""
+    netlists = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_NO_CACHE", "1")
+        for mode in ("compose", "conventional"):
+            factor = Factor.from_verilog(arm2_source(), top="arm",
+                                         mode=ExtractionMode(mode))
+            for mut in ARM2_MUTS:
+                spec = factor.mut_spec(mut.name, mut.path)
+                netlists[(mode, mut.name)] = \
+                    factor.composer.transform(spec).netlist
+    return netlists
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("mode, mut", sorted(ARM2_PINS))
+    def test_arm2_transformed(self, arm2_transformed, mode, mut):
+        assert pin_of(arm2_transformed[(mode, mut)]) == ARM2_PINS[(mode, mut)]
+
+    def test_every_arm2_mut_pinned(self, arm2_transformed):
+        assert sorted(arm2_transformed) == sorted(ARM2_PINS)
+
+    def test_every_small_design_pinned(self):
+        assert sorted(small_designs()) == sorted(SMALL_PINS)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_PINS))
+    def test_small_design(self, name):
+        netlist = synthesize(Design(parse_source(small_designs()[name])))
+        assert pin_of(netlist) == SMALL_PINS[name]
+
+    def test_filterchip(self):
+        assert pin_of(synthesize(filterchip_design())) == FILTERCHIP_PIN

@@ -11,8 +11,9 @@ import pytest
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import Fault, build_fault_list
 from repro.atpg.podem import Podem
-from repro.atpg.sequential import UnrolledModel
+from repro.atpg.sequential import OP_DFF, OP_SOURCE, UnrolledModel
 from repro.atpg.simulator import eval_gate
+from repro.atpg.values import VX
 from repro.designs import adder_source, counter_source, fsm_source
 from repro.hierarchy import Design
 from repro.synth import synthesize
@@ -140,19 +141,28 @@ class TestSequential:
     def test_frame0_state_is_unassignable(self):
         nl = netlist_of(counter_source())
         model = UnrolledModel(nl, 2)
+        n = model.num_nets
         for dff in nl.dffs():
-            assert model.is_x_source((0, dff.output))
-            assert not model.is_assignable((0, dff.output))
-            assert not model.is_x_source((1, dff.output))
+            q = dff.output
+            # Frame 0: an X source nothing can set.
+            assert model.key_op[q] == OP_SOURCE
+            assert model.base_plane[q] == VX
+            assert not model.key_assignable[q]
+            assert not model.key_controllable[q]
+            # Frame 1: the copy of frame 0's D.
+            assert model.key_op[n + q] == OP_DFF
+            assert not model.key_assignable[n + q]
 
     def test_pier_makes_state_assignable(self):
         nl = netlist_of(counter_source())
         q0 = nl.dffs()[0].output
         model = UnrolledModel(nl, 2, pier_qs={q0})
-        assert model.is_assignable((0, q0))
-        assert (0, q0) in model.assignable
+        n = model.num_nets
+        assert model.key_assignable[q0]
+        assert model.key_controllable[q0]
+        assert not model.key_assignable[n + q0]
         # The D input of a PIER flop is observable in the last frame.
-        assert (1, nl.dffs()[0].inputs[0]) in model.observable
+        assert n + nl.dffs()[0].inputs[0] in model.observable_keys
 
     def test_pier_enables_detection(self):
         # wrap = &cnt requires cnt == 15, reachable only through 15 counts
