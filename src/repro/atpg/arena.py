@@ -24,47 +24,55 @@ Simulation model
 ----------------
 
 Values are 3-valued (0/1/X), encoded as a (ones, zeros) pair of bit masks
-packed into plain Python ints — one bit lane per *fault* (the workload is a
-single dependent vector sequence, so the parallel axis is faults in wide
-machine words, not independent patterns; see ``docs/performance.md`` for why
-this differs from textbook PPSFP).  A call proceeds as:
+packed into plain Python ints.  A call grades a batch of equal-length
+sequences that share one initial state — the random phase's independent
+sequences, or a run of equal-length tests — and each bit lane of a fault
+block carries one (fault, sequence) pair.  Within a sequence every vector
+depends on the previous cycle's state, so cycles stay serial; faults and
+independent sequences share the word (``docs/performance.md`` relates this
+to textbook PPSFP).  A call proceeds as:
 
-1. **Good-machine pass** — the shared fault-free simulation, one plane per
-   cycle, through code generated once per netlist: every net becomes a
-   local variable (``o<net>``/``z<net>`` for the ones/zeros masks), gate
-   operations are inlined in levelized order, and the results are flushed
-   into a flat list ``V`` (``V[2n]`` = ones, ``V[2n+1]`` = zeros of net
-   *n*).  The code is chunked into functions of bounded size so CPython's
-   compiler stays fast; :class:`~repro.atpg.simulator.LogicSimulator`
-   runs the same chunks.  While simulating, a per-net *ever-one* /
-   *ever-zero* byte table is accumulated with O(nets) big-int shifts per
-   cycle.
+1. **Good-machine pass** — the fault-free simulation of every sequence of
+   the batch at once, one plane per cycle in which bit ``s`` of each value
+   is sequence ``s``, through code generated once per netlist: every net
+   becomes a local variable (``o<net>``/``z<net>`` for the ones/zeros
+   masks), gate operations are inlined in levelized order, and the
+   results are flushed into a flat list ``V`` (``V[2n]`` = ones,
+   ``V[2n+1]`` = zeros of net *n*).  The code is chunked into functions
+   of bounded size so CPython's compiler stays fast;
+   :class:`~repro.atpg.simulator.LogicSimulator` runs the same chunks.
+   The planes OR-ed over all cycles give, per net, the sequences in which
+   it ever carried binary 1 and binary 0.
 2. **Refinement filter** — a stuck-at-``v`` fault whose site never carries
-   the binary value ``1-v`` in the good machine is provably undetectable by
-   this sequence, so its lane is never simulated.  Proof sketch: by
-   induction over levelized order and cycles, every faulty-machine net value
-   *refines* the good value in the Kleene information order (injection
-   forces ``v`` where the good machine has ``v`` or ``X``; all gate
-   functions and the DFF latch are monotone in that order).  Detection
-   requires a binary-vs-binary difference at an observe point, which a
-   refinement cannot produce.
-3. **Cone-partitioned lane blocks** — surviving faults are sorted in cone
-   pack order and cut into fixed-width blocks; each block simulates only
-   the union fanout cone of its sites, interpreted over a flat value list,
-   with fault injection fused at the sites, X-masks preserved end to end,
-   detection against the good planes, and early exit once every injected
-   lane has detected.  One block simulator serves both fault models, each
-   an injection schedule over the same gate program: a stuck-at lane is
-   forced on every cycle, an SEU lane (:class:`TransientFault`) only in
-   its flip cycle, which runs a copy of the program with that cycle's
-   upsets patched in.
+   the binary value ``1-v`` in a sequence's good machine is provably
+   undetectable by that sequence, so that (fault, sequence) lane is never
+   simulated.  Proof sketch: by induction over levelized order and cycles,
+   every faulty-machine net value *refines* the good value in the Kleene
+   information order (injection forces ``v`` where the good machine has
+   ``v`` or ``X``; all gate functions and the DFF latch are monotone in
+   that order).  Detection requires a binary-vs-binary difference at an
+   observe point, which a refinement cannot produce.
+3. **Cone-partitioned lane blocks** — surviving pairs are sorted in cone
+   pack order of their fault, then by sequence, and cut into fixed-width
+   blocks; each block simulates only the union fanout cone of its sites,
+   interpreted over a flat value list, with fault injection fused at the
+   sites, X-masks preserved end to end, each sequence's good value
+   broadcast to that sequence's lanes at the cone boundary and the
+   observe points, and early exit once every lane has detected.  One
+   block simulator serves both fault models, each an injection schedule
+   over the same gate program: a stuck-at lane is forced on every cycle,
+   an SEU lane (:class:`TransientFault`) only in its flip cycle, which
+   runs a copy of the program with that cycle's upsets patched in.
 
-Detected sets are bit-identical to the interpreted oracle;
-``tests/test_arena.py`` holds the differential suite.
+A call returns, per sequence, the faults that sequence detects *first*:
+exactly what a fault-dropping loop over the sequences would find.  A
+single sequence is the batch of one.  Results are bit-identical to the
+interpreted oracle; ``tests/test_arena.py`` holds the differential suite.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from array import array
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
@@ -408,6 +416,41 @@ class NetlistArena:
 # -- word-parallel fault simulation -------------------------------------------
 
 
+class _Spread(dict):
+    """Good value -> lane mask for one lane block.
+
+    Bit ``s`` of a batched good value is sequence ``s``; the mask holds
+    the block's lanes of every sequence whose bit is set, so a boundary
+    net, a flop seed or an observe-point comparison broadcasts each
+    sequence's good value to that sequence's lanes only.  Entries are
+    filled on first use from per-byte tables (eight sequences per
+    lookup); with one sequence the map is ``{0: 0, 1: full}``.
+    """
+
+    __slots__ = ("tables",)
+
+    def __init__(self, seq_lanes: Sequence[int]):
+        super().__init__()
+        self.tables = []
+        for base in range(0, len(seq_lanes), 8):
+            masks = seq_lanes[base:base + 8]
+            table = [0] * (1 << len(masks))
+            for good in range(1, len(table)):
+                low = good & -good
+                table[good] = (table[good ^ low]
+                               | masks[low.bit_length() - 1])
+            self.tables.append(table)
+
+    def __missing__(self, good: int) -> int:
+        lanes = 0
+        shift = 0
+        for table in self.tables:
+            lanes |= table[(good >> shift) & 255]
+            shift += 8
+        self[good] = lanes
+        return lanes
+
+
 class ArenaFaultSim:
     """Fault simulation over one :class:`NetlistArena`.
 
@@ -421,14 +464,13 @@ class ArenaFaultSim:
     def __init__(self, arena: NetlistArena):
         self.arena = arena
         self._chunks = None  # good-machine codegen, built lazily
-        # Good-plane memo: one entry, keyed both by object identity (the
-        # common case: a bench/ATPG loop re-simulating the same vector list
-        # object) and by value.  Strong refs are intentional — callers must
-        # not mutate a vector list in place between calls (no caller does;
-        # vectors are built fresh per sequence).
-        self._good_vectors: Optional[Sequence[Vector]] = None
+        # Good-plane memo: one entry, keyed by the identity of the vector
+        # lists and the initial state (a bench loop repeating one call).
+        # Strong refs are intentional — callers must not mutate a vector
+        # list in place between calls (no caller does; vectors are built
+        # fresh per sequence).
+        self._good_seqs: Tuple[Sequence[Vector], ...] = ()
         self._good_istate: Optional[Mapping[int, int]] = None
-        self._good_key = None
         self._good = None
 
     # -- good machine -------------------------------------------------------
@@ -441,97 +483,88 @@ class ArenaFaultSim:
                                            num_nets=self.arena.num_nets)
         return self._chunks
 
-    def _good_pass(self, vectors: Sequence[Vector],
+    def _good_pass(self, sequences: Sequence[Sequence[Vector]],
                    initial_state: Optional[Mapping[int, int]]):
-        """Simulate the fault-free machine; returns
-        ``(planes, ever_one, ever_zero)``.
+        """Simulate the fault-free machine on every sequence at once;
+        returns ``(planes, ever)``.
 
-        ``planes`` holds one flat ``[o0, z0, o1, z1, ...]`` snapshot per
-        cycle.  ``ever_one[n]`` / ``ever_zero[n]`` are truthy iff net ``n``
-        ever carried binary 1 / 0 — accumulated as one byte per net with two
-        big-int shift-ORs per cycle (cycle bits fill each byte in windows of
-        8, so ORs never carry across byte boundaries).
+        The sequences have equal length and share ``initial_state``; bit
+        ``s`` of every value is sequence ``s``.  ``planes`` holds one flat
+        ``[o0, z0, o1, z1, ...]`` snapshot per cycle, and ``ever`` is the
+        same layout OR-ed over all cycles: ``ever[2n]`` / ``ever[2n+1]``
+        mark the sequences in which net ``n`` ever carried binary 1 / 0.
         """
         from repro.obs import counter
 
-        if vectors is self._good_vectors and initial_state is self._good_istate:
+        seqs = tuple(sequences)
+        if (initial_state is self._good_istate
+                and len(seqs) == len(self._good_seqs)
+                and all(map(operator.is_, seqs, self._good_seqs))):
             counter("fault_sim.arena.good_plane_hits").inc()
-            return self._good
-        key = (
-            tuple(tuple(sorted(vec.items())) for vec in vectors),
-            tuple(sorted(initial_state.items())) if initial_state else (),
-        )
-        if key == self._good_key:
-            counter("fault_sim.arena.good_plane_hits").inc()
-            self._good_vectors = vectors
-            self._good_istate = initial_state
             return self._good
 
         chunks = self.chunks()
         arena = self.arena
-        nn = arena.num_nets
         pis, dff_q, dff_d = arena.pis, arena.dff_q, arena.dff_d
+        full = (1 << len(seqs)) - 1
         state: Dict[int, Mask] = {q: (0, 0) for q in dff_q}
         if initial_state:
             for q, bit in initial_state.items():
-                state[q] = (1, 0) if bit else (0, 1)
-        values = [0] * (2 * nn)
-        values[1] = 1  # const0 zeros plane
-        values[2] = 1  # const1 ones plane
+                state[q] = (full, 0) if bit else (0, full)
+        values = [0] * (2 * arena.num_nets)
+        values[1] = full  # const0 zeros plane
+        values[2] = full  # const1 ones plane
         planes: List[List[int]] = []
-        ever_o = ever_z = acc_o = acc_z = 0
-        window = 0
-        for vec in vectors:
+        for cycle in range(len(seqs[0])):
+            vecs = [vectors[cycle] for vectors in seqs]
             for pi in pis:
-                bit = vec.get(pi)
-                i = 2 * pi
-                if bit is None:
-                    values[i] = values[i + 1] = 0
-                elif bit:
-                    values[i] = 1
-                    values[i + 1] = 0
-                else:
-                    values[i] = 0
-                    values[i + 1] = 1
+                ones = zeros = 0
+                bit_s = 1
+                for vec in vecs:
+                    bit = vec.get(pi)
+                    if bit is not None:
+                        if bit:
+                            ones |= bit_s
+                        else:
+                            zeros |= bit_s
+                    bit_s <<= 1
+                values[2 * pi] = ones
+                values[2 * pi + 1] = zeros
             for k in range(len(dff_q)):
                 o, z = state[dff_q[k]]
                 i = 2 * dff_q[k]
                 values[i] = o
                 values[i + 1] = z
             for chunk in chunks:
-                chunk(values, 1)
+                chunk(values, full)
             planes.append(values[:])
-            acc_o |= int.from_bytes(bytes(values[0::2]), "little") << window
-            acc_z |= int.from_bytes(bytes(values[1::2]), "little") << window
-            window += 1
-            if window == 8:
-                ever_o |= acc_o
-                ever_z |= acc_z
-                acc_o = acc_z = window = 0
             for k in range(len(dff_q)):
                 i = 2 * dff_d[k]
                 state[dff_q[k]] = (values[i], values[i + 1])
-        ever_o |= acc_o
-        ever_z |= acc_z
-        self._good = (
-            planes,
-            ever_o.to_bytes(nn + 1, "little"),
-            ever_z.to_bytes(nn + 1, "little"),
-        )
-        self._good_vectors = vectors
+        ever = planes[0] if planes else [0] * len(values)
+        for plane in planes[1:]:
+            ever = list(map(operator.or_, ever, plane))
+        self._good = (planes, ever)
+        self._good_seqs = seqs
         self._good_istate = initial_state
-        self._good_key = key
         return self._good
 
     # -- lane blocks ----------------------------------------------------------
 
-    def _run_block(self, blk: Sequence[AnyFault], planes,
+    def _run_block(self, blk: Sequence[Tuple[AnyFault, int]],
+                   num_seqs: int, planes,
                    initial_state: Optional[Mapping[int, int]],
-                   obs_set: frozenset):
+                   obs_set: frozenset) -> Tuple[int, int]:
         """One lane block: the union fanout cone of the block's sites
         interpreted over a flat value list, with injection fused at the
         sites, detection against the good planes and early exit once
         every lane has detected.
+
+        Lane ``li`` carries the pair ``blk[li] = (fault, sequence)``.
+        Values the block reads from outside its cone — boundary nets,
+        the flop seeds and the good values it compares against — come
+        from the batched good planes through :class:`_Spread`, so each
+        lane sees its own sequence's good machine.
 
         Each cycle runs one gate program.  Stuck-at lanes are forced on
         every cycle, so their masks live in the every-cycle program
@@ -554,7 +587,9 @@ class ArenaFaultSim:
         # upsets under their flip cycle in ``flips``.
         every: Dict[int, Mask] = {}
         flips: Dict[int, Dict[int, Mask]] = {}
-        for li, f in enumerate(blk):
+        seq_lanes = [0] * num_seqs
+        for li, (f, s) in enumerate(blk):
+            seq_lanes[s] |= 1 << li
             per = (flips.setdefault(f.cycle, {})
                    if isinstance(f, TransientFault) else every)
             m1, m0 = per.get(f.net, (0, 0))
@@ -563,11 +598,12 @@ class ArenaFaultSim:
             else:
                 m0 |= 1 << li
             per[f.net] = (m1, m0)
+        spread = _Spread(seq_lanes)
 
         # The cone's gate rows and flip-flops, boundary nets (read by the
-        # cone but produced outside it: they broadcast the shared good
-        # value) and observe points.
-        cone = arena.cone_of({f.net for f in blk})
+        # cone but produced outside it: they broadcast the good value)
+        # and observe points.
+        cone = arena.cone_of({f.net for f, _s in blk})
         cone_gis = [gi for gi in range(len(gate_out)) if gate_out[gi] in cone]
         cone_dks = [k for k in range(len(dff_q)) if dff_q[k] in cone]
         innets: Set[int] = set()
@@ -619,8 +655,7 @@ class ArenaFaultSim:
         if cstart > 0:
             prev = planes[cstart - 1]
             for q2, d2 in dffs:
-                state[q2] = (full if prev[d2] else 0,
-                             full if prev[d2 + 1] else 0)
+                state[q2] = (spread[prev[d2]], spread[prev[d2 + 1]])
         else:
             for q2, _d2 in dffs:
                 if initial_state and q2 // 2 in initial_state:
@@ -633,8 +668,8 @@ class ArenaFaultSim:
             plane = planes[cycle]
             prog, fills = program(cycle)
             for i in bound2:
-                v[i] = full if plane[i] else 0
-                v[i + 1] = full if plane[i + 1] else 0
+                v[i] = spread[plane[i]]
+                v[i + 1] = spread[plane[i + 1]]
             for q2, _d2 in dffs:
                 o, z = state[q2]
                 v[q2] = o
@@ -675,11 +710,11 @@ class ArenaFaultSim:
                     z = (z & em) | m0
                 v[o2] = o
                 v[o2 + 1] = z
+            # A lane detects where it holds the binary opposite of its
+            # sequence's good value.
             for i in obs2:
-                if plane[i]:
-                    det |= v[i + 1]
-                elif plane[i + 1]:
-                    det |= v[i]
+                det |= (v[i + 1] & spread[plane[i]]) | \
+                       (v[i] & spread[plane[i + 1]])
             state = {q2: (v[d2], v[d2 + 1]) for q2, d2 in dffs}
             if det == full:
                 break
@@ -687,77 +722,96 @@ class ArenaFaultSim:
 
     # -- public entry --------------------------------------------------------
 
-    def detected_faults(
+    def first_detections(
         self,
-        vectors: Sequence[Vector],
+        sequences: Sequence[Sequence[Vector]],
         faults: Sequence[AnyFault],
         initial_state: Optional[Mapping[int, int]] = None,
         extra_observables: Optional[Sequence[int]] = None,
         lanes: int = 512,
-    ) -> Tuple[Set[AnyFault], int]:
-        """Detected subset of ``faults`` plus the number of lane blocks run.
+    ) -> Tuple[List[Set[AnyFault]], int]:
+        """For each sequence, the faults it detects first, plus the number
+        of lane blocks run.
 
-        ``faults`` may mix stuck-at faults and single-cycle upsets
-        (:class:`TransientFault`).  Each model has an exact filter over
-        the memoized good planes: a stuck-at-``v`` fault survives only if
-        its site ever carries binary ``1-v``, an upset forcing ``v`` only
-        if its site carries binary ``1-v`` in the flip cycle.  Elsewhere
-        the force is the identity or a Kleene refinement of the good
-        value, which can never reach an observe point as a
-        binary-vs-binary difference (module docstring, step 2).
-        Survivors are sorted by :meth:`NetlistArena.cone_pack_order` and
-        cut into blocks of ``lanes``.  Bit-identical to the interpreted
-        oracle for any mix of X inputs, initial flip-flop state and extra
-        observe points.
+        The sequences have equal length and share ``initial_state``.  A
+        fault appears under the first sequence that detects it and under
+        no later one — what a fault-dropping loop over the sequences
+        would find.  ``faults`` may mix stuck-at faults and single-cycle
+        upsets (:class:`TransientFault`).
+
+        A lane carries one (fault, sequence) pair.  Each model has an
+        exact filter over the memoized good planes: a stuck-at-``v``
+        fault keeps a sequence only if its site ever carries binary
+        ``1-v`` in it, an upset forcing ``v`` only if its site carries
+        binary ``1-v`` in the flip cycle.  Elsewhere the force is the
+        identity or a Kleene refinement of the good value, which can
+        never reach an observe point as a binary-vs-binary difference
+        (module docstring, step 2).  Surviving pairs are sorted by
+        :meth:`NetlistArena.cone_pack_order` of their fault, then by
+        sequence, and cut into blocks of ``lanes``.  Bit-identical to the
+        interpreted oracle for any mix of X inputs, initial flip-flop
+        state and extra observe points.
         """
         from repro.obs import counter
 
-        if not faults:
-            return set(), 0
-        planes, ever_o, ever_z = self._good_pass(vectors, initial_state)
+        found: List[Set[AnyFault]] = [set() for _ in sequences]
+        if not faults or not sequences:
+            return found, 0
+        planes, ever = self._good_pass(sequences, initial_state)
         arena = self.arena
         obs_points: Set[int] = set(arena.pos)
         if extra_observables:
             obs_points.update(extra_observables)
         obs_set = frozenset(obs_points)
 
+        # Fault -> mask of the sequences that may detect it.  Index
+        # ``2 * net + value`` is the plane of the value a stuck-at-value
+        # fault (or an upset to value) must disturb: zeros for 1, ones
+        # for 0.
         ncyc = len(planes)
-        surv = []
+        live: Dict[AnyFault, int] = {}
         for f in faults:
             if not isinstance(f, TransientFault):
-                live = ever_z[f.net] if f.value == 1 else ever_o[f.net]
+                mask = ever[2 * f.net + f.value]
             elif f.cycle < ncyc:
-                plane, i = planes[f.cycle], 2 * f.net
-                live = plane[i + 1] if f.value == 1 else plane[i]
+                mask = planes[f.cycle][2 * f.net + f.value]
             else:
-                live = False
-            if live:
-                surv.append(f)
+                mask = 0
+            if mask:
+                live[f] = mask
+        pairs: List[Tuple[AnyFault, int]] = []
+        for f in arena.cone_pack_order(list(live)):
+            mask = live[f]
+            while mask:
+                low = mask & -mask
+                pairs.append((f, low.bit_length() - 1))
+                mask ^= low
         counter("fault_sim.arena.filtered_undetectable").inc(
-            len(faults) - len(surv))
-        detected: Set[AnyFault] = set()
-        if not surv:
-            return detected, 0
-        ordered = arena.cone_pack_order(surv)
-        blocks = 0
-        filled = 0
-        early = 0
-        for start in range(0, len(ordered), lanes):
-            blk = ordered[start:start + lanes]
-            det, present = self._run_block(blk, planes, initial_state,
-                                           obs_set)
+            len(faults) * len(sequences) - len(pairs))
+        # Pairs of one fault are adjacent and in sequence order, and
+        # blocks run in pair order, so the first detection of a fault
+        # seen is its earliest sequence.
+        first: Dict[AnyFault, int] = {}
+        blocks = filled = early = 0
+        for start in range(0, len(pairs), lanes):
+            blk = pairs[start:start + lanes]
+            det, present = self._run_block(blk, len(sequences), planes,
+                                           initial_state, obs_set)
             blocks += 1
-            filled += bin(present).count("1")
+            filled += len(blk)
             if det == present:
                 early += 1
             while det:
                 li = (det & -det).bit_length() - 1
-                detected.add(blk[li])
+                f, s = blk[li]
+                first.setdefault(f, s)
                 det &= det - 1
+        for f, s in first.items():
+            found[s].add(f)
         counter("fault_sim.arena.passes").inc(blocks)
         counter("fault_sim.arena.lanes_filled").inc(filled)
         counter("fault_sim.arena.early_exits").inc(early)
-        return detected, blocks
+        return found, blocks
 
 
 _SIMS: "WeakKeyDictionary[Netlist, ArenaFaultSim]" = WeakKeyDictionary()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs import CpuTimer, Deadline, counter, gauge, histogram, \
@@ -329,18 +330,23 @@ class AtpgEngine:
                  netlist=self.netlist.name)
 
         # -- phase 1: random vectors -------------------------------------
+        # The sequences are independent, so they are drawn up front and
+        # graded in one batch; the loop replays the per-sequence fault
+        # dropping on the first detections, stopping once nothing remains
+        # and keeping only sequences that detected something.
         with span("atpg.random") as sp_random:
-            for _ in range(opts.random_sequences):
+            sequences = [
+                [{pi: rng.randint(0, 1) for pi in self.netlist.pis}
+                 for _ in range(opts.random_sequence_length)]
+                for _ in range(opts.random_sequences)
+            ]
+            firsts: List[Set[Fault]] = []
+            if sequences and remaining:
+                with fault_sim_timer:
+                    firsts = fsim.first_detections(sequences, faults)
+            for vectors, found in zip(sequences, firsts):
                 if not remaining:
                     break
-                vectors = [
-                    {pi: rng.randint(0, 1) for pi in self.netlist.pis}
-                    for _ in range(opts.random_sequence_length)
-                ]
-                with fault_sim_timer:
-                    found = fsim.detected_faults(
-                        vectors, [f for f in faults if f in remaining]
-                    )
                 if found:
                     self.tests.append((vectors, {}))
                 detected |= found
@@ -391,16 +397,22 @@ class AtpgEngine:
                     sample=opts.transient_sample, seed=opts.seed)
                 transient_total = len(tfaults)
                 rem_t: Set[TransientFault] = set(tfaults)
-                for vectors, istate in self.tests:
+                # One batch per run of consecutive tests with equal length
+                # and initial state; first detections keep the per-test
+                # dropping order.
+                for (_, istate), run in groupby(
+                        self.tests, key=lambda t: (len(t[0]), t[1])):
                     if not rem_t:
                         break
                     with fault_sim_timer:
-                        found = fsim.detected_faults(
-                            vectors, [f for f in tfaults if f in rem_t],
+                        firsts = fsim.first_detections(
+                            [vectors for vectors, _ in run],
+                            [f for f in tfaults if f in rem_t],
                             initial_state=istate or None,
                             extra_observables=observe,
                         )
-                    rem_t -= found
+                    for found in firsts:
+                        rem_t -= found
                 transient_detected = transient_total - len(rem_t)
                 sp_tr.set("injections", transient_total)
                 sp_tr.set("detected", transient_detected)

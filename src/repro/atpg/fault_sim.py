@@ -1,13 +1,16 @@
 """Parallel-fault sequential fault simulation.
 
-Faults are packed into bit lanes of Python integers: lane 0 carries the good
-machine, lanes 1..k one faulty machine each, all simulating the same input
-sequence.  Fault injection forces the faulty value on the fault site's net in
-that fault's lane only.  A fault is detected when some primary output
-differs (binary vs binary) between its lane and the good lane at any cycle.
-Flip-flops start at X, so every fault must be excited through a genuine
-initialisation sequence — the same discipline a commercial sequential fault
-simulator enforces.
+:class:`FaultSimulator` is the entry point for both backends.  This module
+holds the interpreted one, the reference oracle: faults are packed into bit
+lanes of Python integers, lane 0 carrying the good machine and lanes 1..k
+one faulty machine each, all simulating the same input sequence.  Fault
+injection forces the faulty value on the fault site's net in that fault's
+lane only.  A fault is detected when some primary output differs (binary vs
+binary) between its lane and the good lane at any cycle.  Flip-flops start
+at X, so every fault must be excited through a genuine initialisation
+sequence — the same discipline a commercial sequential fault simulator
+enforces.  A batch of sequences is graded one sequence at a time, dropping
+the faults each detects.
 
 Both fault models are injection schedules over one interpreted lane loop,
 :func:`simulate_lanes`: a stuck-at lane is forced on every cycle, an SEU
@@ -30,9 +33,10 @@ F = TypeVar("F")  # the fault type of one lane block
 #: applied to every PI, flip-flop output and gate output.
 Injection = Callable[[int, int, int], Tuple[int, int]]
 
-# Default lane width (one good machine + 511 faulty machines per block);
-# call sites that want a different width take a ``lanes`` parameter rather
-# than hard-coding their own number.
+# Default lane width per block: 512 (fault, sequence) pairs in the arena,
+# which has no good lane, or one good machine + 511 faults in the
+# interpreted loop.  Call sites that want a different width take a
+# ``lanes`` parameter rather than hard-coding their own number.
 DEFAULT_LANES = 512
 
 
@@ -183,14 +187,16 @@ def _schedule(block: Sequence[AnyFault]
 
 
 class FaultSimulator:
-    """Simulates vector sequences against a fault list, lane-parallel.
+    """Grades vector sequences against a fault list, lane-parallel.
 
-    ``backend="arena"`` (default) runs the struct-of-arrays word-parallel
-    simulation of :mod:`repro.atpg.arena`: one memoized good-machine pass,
-    a provably-exact undetectability filter, and cone-partitioned lane
-    blocks.  ``backend="interpreted"`` walks the full flat gate list per
-    block (:func:`simulate_lanes`) — slowest, kept as the reference
-    oracle.  Detected-fault sets are bit-identical across both.
+    ``backend="arena"`` (default) runs the struct-of-arrays simulation of
+    :mod:`repro.atpg.arena`: one memoized good-machine pass per batch of
+    sequences, a provably exact undetectability filter, and
+    cone-partitioned lane blocks whose lanes each carry one (fault,
+    sequence) pair.  ``backend="interpreted"`` walks the full flat gate
+    list per block of faults (:func:`simulate_lanes`), one sequence at a
+    time with fault dropping — slowest, kept as the reference oracle.
+    Results are bit-identical across both.
     """
 
     def __init__(self, netlist: Netlist, lanes: int = DEFAULT_LANES,
@@ -224,32 +230,67 @@ class FaultSimulator:
         adds nets compared against the good machine every cycle (the PIER
         store-instruction model: those registers can be read out).
         """
+        return self.first_detections([vectors], faults, initial_state,
+                                     extra_observables)[0]
+
+    def first_detections(
+        self,
+        sequences: Sequence[Sequence[Vector]],
+        faults: Sequence[AnyFault],
+        initial_state: Optional[Mapping[int, int]] = None,
+        extra_observables: Optional[Sequence[int]] = None,
+    ) -> List[Set[AnyFault]]:
+        """For each of ``sequences``, the faults it detects first.
+
+        The sequences must have equal length; all start from
+        ``initial_state`` and share ``extra_observables`` (see
+        :meth:`detected_faults`).  A fault appears under the first
+        sequence that detects it and under no later one, which is what
+        a fault-dropping loop over the sequences finds: the interpreted
+        backend runs exactly that loop, the arena grades every sequence
+        in shared lane blocks.
+        """
         from repro.obs import counter, progress
 
+        if len({len(vectors) for vectors in sequences}) > 1:
+            raise ValueError("sequences of one batch must have equal length")
         if self._arena_sim is not None:
-            detected, blocks = self._arena_sim.detected_faults(
-                vectors, faults, initial_state=initial_state,
+            found, blocks = self._arena_sim.first_detections(
+                sequences, faults, initial_state=initial_state,
                 extra_observables=extra_observables, lanes=self.lanes,
             )
         else:
-            detected, blocks = set(), 0
+            found, blocks = [], 0
+            remaining = list(faults)
             size = self.lanes - 1
-            for start in range(0, len(faults), size):
-                block = faults[start:start + size]
-                blocks += 1
-                detected |= simulate_lanes(self.netlist, self._flat,
-                                           vectors, block, _schedule(block),
-                                           initial_state, extra_observables)
+            for vectors in sequences:
+                detected: Set[AnyFault] = set()
+                for start in range(0, len(remaining), size):
+                    block = remaining[start:start + size]
+                    blocks += 1
+                    detected |= simulate_lanes(
+                        self.netlist, self._flat, vectors, block,
+                        _schedule(block), initial_state, extra_observables)
+                found.append(detected)
+                if detected:
+                    remaining = [f for f in remaining if f not in detected]
 
+        # Workload counters count (fault, sequence) pairs, the unit the
+        # arena filter and lanes work in.
+        pairs = len(faults) * len(sequences)
+        length = len(sequences[0]) if sequences else 0
+        detected_total = sum(len(hit) for hit in found)
         upsets = sum(isinstance(f, TransientFault) for f in faults)
         if upsets:
-            counter("fault_sim.seu_injections").inc(upsets)
+            counter("fault_sim.seu_injections").inc(upsets * len(sequences))
         counter(f"fault_sim.backend.{self.backend}").inc()
         counter("fault_sim.calls").inc()
+        counter("fault_sim.sequences").inc(len(sequences))
         counter("fault_sim.blocks").inc(blocks)
-        counter("fault_sim.vectors").inc(len(vectors) * blocks)
-        counter("fault_sim.faults_simulated").inc(len(faults))
-        counter("fault_sim.faults_detected").inc(len(detected))
-        progress("fault_sim", simulated=len(faults),
-                 found=len(detected), vectors=len(vectors))
-        return detected
+        counter("fault_sim.vectors").inc(length * blocks)
+        counter("fault_sim.faults_simulated").inc(pairs)
+        counter("fault_sim.faults_detected").inc(detected_total)
+        progress("fault_sim", simulated=pairs, found=detected_total,
+                 vectors=length * len(sequences),
+                 sequences=len(sequences))
+        return found

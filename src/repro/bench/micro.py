@@ -10,8 +10,11 @@ clock and written as a ``BENCH_*.json`` payload next to the table output:
   must be identical; the row records CPU times and the throughput ratio
   ``arena_x`` (interpreted/arena).
 - **atpg** — one deterministic small ATPG configuration run with each
-  backend; coverage, efficiency, detections and vector counts must be
-  bit-identical (the backend may only change speed, never results).
+  backend; coverage, efficiency, detections, random-phase yield, test and
+  vector counts and the detected-fault sets must be bit-identical (the
+  backend may only change speed, never results).  The arena grades the
+  random phase as one batch, the interpreted backend one sequence at a
+  time, so this row also gates the batch against the per-sequence loop.
 
 Any differential mismatch makes :func:`run_bench` return a non-zero exit
 status, so the CI smoke job doubles as an equivalence gate.
@@ -24,7 +27,7 @@ import os
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.atpg.engine import AtpgEngine, AtpgOptions
+from repro.atpg.engine import AtpgEngine, AtpgOptions, AtpgReport
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import (AnyFault, Fault, build_fault_list,
                                build_transient_fault_list)
@@ -258,13 +261,13 @@ def atpg_rows(quick: bool = False, seed: int = 2002,
         fault_sample=40 if quick else None,
     )
     rows: List[Dict[str, object]] = []
-    reports = {}
+    runs: Dict[str, Tuple[AtpgEngine, AtpgReport]] = {}
     for backend in ("interpreted", "arena"):
         engine = AtpgEngine(netlist, AtpgOptions(
             fault_sim_backend=backend, **opts))
         with span("bench.atpg", backend=backend) as sp:
             report = engine.run()
-        reports[backend] = report
+        runs[backend] = (engine, report)
         rows.append({
             "backend": backend,
             "faults": report.total_faults,
@@ -274,11 +277,14 @@ def atpg_rows(quick: bool = False, seed: int = 2002,
             "vectors": report.num_vectors,
             "cpu_s": round(sp.cpu_seconds, 3),
         })
-    a, b = reports["interpreted"], reports["arena"]
+    (ea, a), (eb, b) = runs["interpreted"], runs["arena"]
     match = (a.coverage_percent == b.coverage_percent
              and a.efficiency_percent == b.efficiency_percent
              and a.detected == b.detected
-             and a.num_vectors == b.num_vectors)
+             and a.num_vectors == b.num_vectors
+             and a.random_detected == b.random_detected
+             and a.num_tests == b.num_tests
+             and ea.detected_faults == eb.detected_faults)
     if not match:
         _LOG.error("atpg.backend_mismatch", rows=rows)
     for row in rows:

@@ -4,8 +4,8 @@ The arena backend (struct-of-arrays netlist encoding, memoized good-machine
 pass, exact undetectability filter, cone-partitioned lane blocks) must
 produce detected-fault sets bit-identical to the interpreted oracle on
 every netlist — including X inputs, preset flip-flop state, Q-net primary
-outputs and extra observe points — at any lane width, and the arena itself
-must survive a pickle round trip unchanged.
+outputs and extra observe points — at any lane width, for one sequence or
+a batch, and the arena itself must survive a pickle round trip unchanged.
 """
 
 import gc
@@ -18,7 +18,7 @@ import pytest
 from repro.atpg.arena import (ArenaFaultSim, NetlistArena, get_arena,
                               get_arena_sim)
 from repro.atpg.fault_sim import FaultSimulator
-from repro.atpg.faults import build_fault_list
+from repro.atpg.faults import build_fault_list, build_transient_fault_list
 from repro.atpg.simulator import LogicSimulator
 from repro.synth.netlist import GateType
 
@@ -66,6 +66,30 @@ def test_three_backend_equality_with_state_and_observables(seed):
     assert results[0] == results[1] == results[2]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_equality(seed):
+    """17 sequences graded at once, stuck-at faults and upsets mixed, with
+    a preset initial state and extra observe points: every configuration
+    reports the same first detections, and the interpreted loop grades one
+    sequence per call with fault dropping."""
+    nl = random_netlist(seed + 30, num_pis=5, num_dffs=4, num_gates=30)
+    rng = random.Random(seed)
+    sequences = [random_bit_vectors(nl, cycles=8, seed=50 * seed + k,
+                                    x_rate=0.3) for k in range(17)]
+    faults = build_fault_list(nl) + build_transient_fault_list(
+        nl, 8, sample=80, seed=seed)
+    qs = [d.output for d in nl.dffs()]
+    initial_state = {q: rng.randint(0, 1) for q in qs[:2]}
+    extra = [g.output for g in nl.gates[:3] if g.type is not GateType.DFF]
+    results = [
+        FaultSimulator(nl, lanes=lanes, backend=backend).first_detections(
+            sequences, faults, initial_state, extra)
+        for backend, lanes in CONFIGS
+    ]
+    assert results[0] == results[1] == results[2]
+    assert any(results[0])
+
+
 def test_short_sequences_and_subsets():
     """ATPG-style calls: one or two vectors, shrinking fault subsets."""
     nl = random_netlist(4, num_pis=6, num_dffs=3, num_gates=30)
@@ -101,8 +125,8 @@ def test_arena_pickle_round_trip_identity():
     # A simulator over the unpickled arena detects the same faults.
     vectors = random_bit_vectors(nl, cycles=8, seed=70, x_rate=0.2)
     faults = build_fault_list(nl)
-    det_orig, _ = ArenaFaultSim(arena).detected_faults(vectors, faults)
-    det_clone, _ = ArenaFaultSim(clone).detected_faults(vectors, faults)
+    (det_orig,), _ = ArenaFaultSim(arena).first_detections([vectors], faults)
+    (det_clone,), _ = ArenaFaultSim(clone).first_detections([vectors], faults)
     assert det_orig == det_clone == detect(nl, "interpreted", vectors, faults)
 
 

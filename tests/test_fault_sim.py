@@ -11,24 +11,30 @@ from repro.atpg.faults import (Fault, build_fault_list,
                                build_transient_fault_list)
 from repro.designs import adder_source, counter_source, fsm_source
 from repro.hierarchy import Design
+from repro.obs import get_registry
 from repro.synth import synthesize
 from repro.synth.netlist import CONST0, CONST1, GateType, Netlist
 from repro.verilog.parser import parse_source
+
+from tests.sim_helpers import random_bit_vectors, random_netlist
 
 
 def netlist_of(src, top=None):
     return synthesize(Design(parse_source(src), top=top))
 
 
-def serial_reference(netlist, vectors, faults):
+def serial_reference(netlist, vectors, faults, initial_state=None,
+                     extra_observables=()):
     """Brute force: one full two-valued-with-X simulation per fault.
 
     Shares no code with either backend.  A ``TransientFault`` is forced
     only in its flip cycle, a stuck-at fault in every cycle.
     """
+    observe = list(netlist.pos) + list(extra_observables)
 
     def run(fault):
-        state = {dff.output: None for dff in netlist.dffs()}
+        state = {dff.output: (initial_state or {}).get(dff.output)
+                 for dff in netlist.dffs()}
         good_state = dict(state)
         for cycle, vec in enumerate(vectors):
             good = _cycle(netlist, vec, good_state, None, cycle)
@@ -36,13 +42,27 @@ def serial_reference(netlist, vectors, faults):
             good_state = {d.output: good.get(d.inputs[0])
                           for d in netlist.dffs()}
             state = {d.output: bad.get(d.inputs[0]) for d in netlist.dffs()}
-            for po in netlist.pos:
+            for po in observe:
                 g, f = good.get(po), bad.get(po)
                 if g is not None and f is not None and g != f:
                     return True
         return False
 
     return {fault for fault in faults if run(fault)}
+
+
+def first_reference(netlist, sequences, faults, initial_state=None,
+                    extra_observables=()):
+    """Per sequence, the faults it detects first: the fault-dropping loop
+    over :func:`serial_reference`."""
+    remaining = list(faults)
+    found = []
+    for vectors in sequences:
+        hit = serial_reference(netlist, vectors, remaining, initial_state,
+                               extra_observables)
+        found.append(hit)
+        remaining = [f for f in remaining if f not in hit]
+    return found
 
 
 def _cycle(netlist, vec, state, fault, cycle):
@@ -148,6 +168,65 @@ class TestAgainstSerialReference:
         assert slow  # the sample must exercise detection
         assert fast == slow
 
+    @pytest.mark.parametrize("count", [1, 3, 17])
+    @pytest.mark.parametrize("preset", [False, True],
+                             ids=["x-state", "preset"])
+    def test_batch_first_detections_match_reference(self, count, preset):
+        """A batch of sequences (17 crosses a 16-bit sequence mask) with
+        X inputs, stuck-at faults and upsets in one list, and optionally
+        a preset initial state and an extra observe point, graded on
+        both backends at several lane widths.  The last sequence has no
+        X input, so it still detects faults the X-heavy ones missed."""
+        nl = random_netlist(21, num_pis=5, num_dffs=4, num_gates=30)
+        length = 6
+        sequences = [random_bit_vectors(nl, cycles=length, seed=300 + k,
+                                        x_rate=0.6 if k < count - 1
+                                        else 0.0)
+                     for k in range(count)]
+        faults = build_fault_list(nl) + build_transient_fault_list(
+            nl, length, sample=60, seed=9)
+        initial_state = extra = None
+        if preset:
+            qs = [d.output for d in nl.dffs()]
+            initial_state = {qs[0]: 1, qs[1]: 0, qs[2]: 1}
+            extra = [g.output for g in nl.gates[:2]
+                     if g.type is not GateType.DFF]
+        slow = first_reference(nl, sequences, faults, initial_state,
+                               extra or ())
+        assert slow[-1]  # the batch must exercise its last sequence
+        for backend in ("interpreted", "arena"):
+            for lanes in (2, 5, 512):
+                fsim = FaultSimulator(nl, lanes=lanes, backend=backend)
+                fast = fsim.first_detections(sequences, faults,
+                                             initial_state, extra)
+                assert fast == slow, (backend, lanes)
+
+    @pytest.mark.parametrize("backend", ["interpreted", "arena"])
+    def test_fault_detected_twice_is_reported_first(self, backend):
+        """Sequences 2 and 5 are equal, so every fault 2 detects, 5 does
+        too: the batch reports it under 2 only."""
+        nl = netlist_of(fsm_source())
+        faults = build_fault_list(nl)
+        sequences = [random_vectors(nl, 8, seed=40 + k) for k in range(7)]
+        sequences[5] = [dict(vec) for vec in sequences[2]]
+        fsim = FaultSimulator(nl, lanes=5, backend=backend)
+        found = fsim.first_detections(sequences, faults)
+        assert found == first_reference(nl, sequences, faults)
+        assert found[2]
+        assert fsim.detected_faults(sequences[5], sorted(found[2])) \
+            == found[2]
+        assert not found[5] & found[2]
+        for k, hit in enumerate(found):
+            assert all(not hit & other for other in found[k + 1:])
+
+    def test_unequal_lengths_rejected(self):
+        nl = netlist_of(counter_source())
+        fsim = FaultSimulator(nl)
+        with pytest.raises(ValueError):
+            fsim.first_detections([random_vectors(nl, 3, seed=1),
+                                   random_vectors(nl, 4, seed=2)],
+                                  build_fault_list(nl))
+
     def test_lane_count_does_not_change_result(self):
         nl = netlist_of(counter_source())
         faults = build_fault_list(nl)
@@ -229,3 +308,39 @@ class TestPierExtensions:
         assert fsim.detected_faults(
             [vec], [fault], extra_observables=[hidden]
         ) == {fault}
+
+
+class TestBatchCounters:
+    COUNTERS = ("fault_sim.faults_simulated",
+                "fault_sim.arena.filtered_undetectable",
+                "fault_sim.seu_injections", "fault_sim.sequences")
+
+    def _counts(self):
+        snap = get_registry().snapshot("fault_sim.")
+        return {name: snap[name]["value"] if name in snap else 0
+                for name in self.COUNTERS}
+
+    @pytest.mark.parametrize("backend", ["interpreted", "arena"])
+    def test_batch_counts_pairs_like_single_calls(self, backend):
+        """Workload counters count (fault, sequence) pairs: one batched
+        call adds what the same sequences add graded one at a time
+        without dropping, and ``fault_sim.calls`` counts the call once."""
+        nl = netlist_of(fsm_source())
+        sequences = [random_vectors(nl, 6, seed=60 + k) for k in range(5)]
+        faults = build_fault_list(nl) + build_transient_fault_list(
+            nl, 6, sample=40, seed=3)
+        fsim = FaultSimulator(nl, lanes=8, backend=backend)
+        registry = get_registry()
+        registry.reset()
+        for vectors in sequences:
+            fsim.detected_faults(vectors, faults)
+        single = self._counts()
+        registry.reset()
+        fsim.first_detections(sequences, faults)
+        batch = self._counts()
+        calls = registry.snapshot("fault_sim.calls")["fault_sim.calls"]
+        registry.reset()
+        assert batch == single
+        assert batch["fault_sim.faults_simulated"] == 5 * len(faults)
+        assert batch["fault_sim.sequences"] == 5
+        assert calls["value"] == 1
