@@ -15,7 +15,7 @@ Public API highlights:
 from repro.core.factor import Factor, FactorResult
 from repro.core.extractor import ExtractionMode, MutSpec
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = ["Factor", "FactorResult", "ExtractionMode", "MutSpec",
            "__version__"]

@@ -5,9 +5,9 @@ The object-graph :class:`~repro.synth.netlist.Netlist` is the wrong shape for
 the simulation hot path: every evaluation walks ``Gate`` dataclasses, tuples
 and dicts.  This module flattens a netlist once into a
 :class:`NetlistArena` — a frozen struct-of-arrays encoding (gate opcodes,
-outputs and CSR fanin/fanout as ``array('i')`` rows, dense net ids, the
-levelized evaluation order baked into the row order, a DFS site-rank map for
-cone packing) — and runs fault simulation directly on it.
+outputs and levels, CSR fanin and reader rows as ``array('i')`` rows, dense
+net ids, the levelized evaluation order baked into the row order, a DFS
+site-rank map for cone packing) — and runs fault simulation directly on it.
 
 The arena is plain picklable data: it is cached in the artifact store (stage
 ``arena``) keyed by the netlist fingerprint, and fork/spawn workers can be
@@ -52,17 +52,21 @@ to textbook PPSFP).  A call proceeds as:
    ``v`` or ``X``; all gate functions and the DFF latch are monotone in
    that order).  Detection requires a binary-vs-binary difference at an
    observe point, which a refinement cannot produce.
-3. **Cone-partitioned lane blocks** — surviving pairs are sorted in cone
+3. **Event-driven lane blocks** — surviving pairs are sorted in cone
    pack order of their fault, then by sequence, and cut into fixed-width
-   blocks; each block simulates only the union fanout cone of its sites,
-   interpreted over a flat value list, with fault injection fused at the
-   sites, X-masks preserved end to end, each sequence's good value
-   broadcast to that sequence's lanes at the cone boundary and the
-   observe points, and early exit once every lane has detected.  One
-   block simulator serves both fault models, each an injection schedule
-   over the same gate program: a stuck-at lane is forced on every cycle,
-   an SEU lane (:class:`TransientFault`) only in its flip cycle, which
-   runs a copy of the program with that cycle's upsets patched in.
+   blocks.  A block stores only the nets whose value differs from their
+   good value as broadcast to the block's lanes (each sequence's good
+   value to that sequence's lanes), and each cycle evaluates, in level
+   order, only the gate rows that read such a net; X-masks are preserved
+   end to end, a lane that has detected returns to the good machine, and
+   the block exits early once every lane has detected.
+   This is exact: a sequence's lanes are disjoint from every other
+   sequence's and together they cover the block, so the broadcast
+   commutes with every gate's AND/OR fold, and a gate whose inputs all
+   equal their broadcast good values outputs its own.  One block
+   simulator serves both fault models, each an injection schedule over
+   the same force map: a stuck-at site is forced on every cycle, an SEU
+   (:class:`TransientFault`) only in its flip cycle.
 
 A call returns, per sequence, the faults that sequence detects *first*:
 exactly what a fault-dropping loop over the sequences would find.  A
@@ -75,7 +79,7 @@ from __future__ import annotations
 import operator
 import os
 from array import array
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+from typing import (Dict, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 from weakref import WeakKeyDictionary
 
@@ -186,26 +190,25 @@ def _chunks_from_codes(codes) -> List:
     return chunks
 
 
-def _codegen_chunks(order: Sequence[Gate], name: str,
-                    num_nets: Optional[int] = None):
-    """The ``fn(V, full)`` chunk functions for a levelized gate order.
+def _codegen_chunks(arena: NetlistArena):
+    """The ``fn(V, full)`` chunk functions for an arena's levelized gates.
 
     Codegen and CPython compilation dominate first-call latency on large
     netlists, so the compiled code objects are persisted in the artifact
-    store as :mod:`marshal` blobs keyed by the gate-order fingerprint and
-    the interpreter's bytecode magic; a warm process deserializes instead
-    of re-generating and re-compiling.  Any failure to deserialize falls
-    back to a fresh compile.
+    store as :mod:`marshal` blobs keyed by the arena's gate-order
+    fingerprint (:attr:`NetlistArena.digest`) and the interpreter's
+    bytecode magic; a warm process deserializes instead of re-generating
+    and re-compiling, and rebuilds no ``Gate`` objects.  Any failure to
+    deserialize falls back to a fresh compile.
     """
     import importlib.util
     import marshal
 
-    from repro.store import MISS, gates_fingerprint, get_store
+    from repro.store import MISS, get_store
 
     store = get_store()
     key = {
-        "gates": gates_fingerprint(order,
-                                   num_nets if num_nets is not None else 0),
+        "gates": arena.digest,
         "chunk_gates": _CHUNK_GATES,
         "magic": importlib.util.MAGIC_NUMBER.hex(),
     }
@@ -215,7 +218,7 @@ def _codegen_chunks(order: Sequence[Gate], name: str,
             return _chunks_from_codes(marshal.loads(blob) for blob in blobs)
         except (ValueError, EOFError, TypeError, KeyError):
             pass  # foreign/damaged blob: fall through to a fresh compile
-    codes = _codegen_code_objects(order, name)
+    codes = _codegen_code_objects(arena.gates(), arena.name)
     store.put("codegen", key, [marshal.dumps(code) for code in codes])
     return _chunks_from_codes(codes)
 
@@ -270,22 +273,27 @@ class NetlistArena:
 
     - ``gate_op`` / ``gate_out`` — combinational gates in levelized
       topological order (evaluation order is the row order),
+    - ``gate_level`` — each gate row's combinational level (constants,
+      PIs and flip-flop Qs are level 0, so gates start at 1),
     - ``fanin_off`` / ``fanin`` — CSR fanin per gate row,
+    - ``reader_off`` / ``reader`` — CSR per net: the gate rows that read
+      it, each row once, in row order,
     - ``dff_q`` / ``dff_d`` — flip-flop Q and D nets,
     - ``pis`` / ``pos`` — primary input / output nets,
-    - ``adj_off`` / ``adj`` — CSR *sequential* fanout per net (one step of
-      gate fanout, plus every D->Q flip-flop edge),
     - ``site_rank`` — DFS-topological rank per net (-1 for nets that are
       not gate outputs); :meth:`cone_pack_order` sorts fault sites by it so
       neighbouring lanes share fanout cones.
+
+    ``digest`` fingerprints the levelized gate rows; it keys the
+    ``codegen`` store stage.
     """
 
     def __init__(self, name: str, num_nets: int,
-                 gate_op: array, gate_out: array,
+                 gate_op: array, gate_out: array, gate_level: array,
                  fanin_off: array, fanin: array,
+                 reader_off: array, reader: array,
                  dff_q: array, dff_d: array,
                  pis: array, pos: array,
-                 adj_off: array, adj: array,
                  site_rank: array,
                  fingerprint: Tuple[int, int, int, int],
                  digest: str):
@@ -293,14 +301,15 @@ class NetlistArena:
         self.num_nets = num_nets
         self.gate_op = gate_op
         self.gate_out = gate_out
+        self.gate_level = gate_level
         self.fanin_off = fanin_off
         self.fanin = fanin
+        self.reader_off = reader_off
+        self.reader = reader
         self.dff_q = dff_q
         self.dff_d = dff_d
         self.pis = pis
         self.pos = pos
-        self.adj_off = adj_off
-        self.adj = adj
         self.site_rank = site_rank
         self.fingerprint = fingerprint
         self.digest = digest
@@ -314,39 +323,29 @@ class NetlistArena:
         from repro.store import gates_fingerprint
 
         order = netlist.levelized_order()
+        level = netlist.levels()
         num_nets = netlist.num_nets
 
         gate_op = array("i", (_OP_OF[g.type] for g in order))
         gate_out = array("i", (g.output for g in order))
+        gate_level = array("i", (level[g.output] for g in order))
         fanin_off = array("i", [0])
         fanin = array("i")
-        for g in order:
+        readers: List[List[int]] = [[] for _ in range(num_nets)]
+        for gi, g in enumerate(order):
             fanin.extend(g.inputs)
             fanin_off.append(len(fanin))
+            for inp in dict.fromkeys(g.inputs):
+                readers[inp].append(gi)
+        reader_off = array("i", [0])
+        reader = array("i")
+        for rows in readers:
+            reader.extend(rows)
+            reader_off.append(len(reader))
 
         dffs = netlist.dffs()
         dff_q = array("i", (d.output for d in dffs))
         dff_d = array("i", (d.inputs[0] for d in dffs))
-
-        # CSR sequential fanout: two passes (count, fill) keep it allocation
-        # free beyond the two arrays.
-        counts = array("i", bytes(4 * (num_nets + 1)))
-        for g in netlist.gates:
-            for inp in g.inputs:
-                counts[inp] += 1
-        adj_off = array("i", bytes(4 * (num_nets + 1)))
-        total = 0
-        for n in range(num_nets):
-            adj_off[n] = total
-            total += counts[n]
-        adj_off[num_nets] = total
-        cursor = array("i", adj_off)
-        adj = array("i", bytes(4 * total))
-        for g in netlist.gates:
-            out = g.output
-            for inp in g.inputs:
-                adj[cursor[inp]] = out
-                cursor[inp] += 1
 
         site_rank = array("i", [-1]) * num_nets
         for i, g in enumerate(netlist.topological_order()):
@@ -357,11 +356,12 @@ class NetlistArena:
         digest = gates_fingerprint(order, num_nets)
         return cls(
             name=netlist.name, num_nets=num_nets,
-            gate_op=gate_op, gate_out=gate_out,
+            gate_op=gate_op, gate_out=gate_out, gate_level=gate_level,
             fanin_off=fanin_off, fanin=fanin,
+            reader_off=reader_off, reader=reader,
             dff_q=dff_q, dff_d=dff_d,
             pis=array("i", netlist.pis), pos=array("i", netlist.pos),
-            adj_off=adj_off, adj=adj, site_rank=site_rank,
+            site_rank=site_rank,
             fingerprint=fingerprint, digest=digest,
         )
 
@@ -374,29 +374,15 @@ class NetlistArena:
         """The levelized combinational gate row as ``Gate`` objects.
 
         The reconstructed sequence is element-wise identical to
-        :meth:`Netlist.levelized_order`, so the good-machine codegen (and
-        its ``codegen`` store key) is the one the netlist itself yields.
+        :meth:`Netlist.levelized_order`, so the good-machine codegen it
+        feeds on a ``codegen`` store miss is the one the netlist itself
+        yields.
         """
         return [
             Gate(type=_GT_OF[self.gate_op[gi]], output=self.gate_out[gi],
                  inputs=self.gate_inputs(gi))
             for gi in range(len(self.gate_out))
         ]
-
-    def cone_of(self, sites: Iterable[int]) -> Set[int]:
-        """Union sequential fanout cone of ``sites`` (multi-source BFS
-        over the CSR adjacency), including the sites themselves."""
-        adj, off = self.adj, self.adj_off
-        seen: Set[int] = set(sites)
-        stack = list(seen)
-        while stack:
-            net = stack.pop()
-            for k in range(off[net], off[net + 1]):
-                down = adj[k]
-                if down not in seen:
-                    seen.add(down)
-                    stack.append(down)
-        return seen
 
     def cone_pack_order(self, faults: Sequence[AnyFault]
                         ) -> List[AnyFault]:
@@ -420,9 +406,9 @@ class _Spread(dict):
     """Good value -> lane mask for one lane block.
 
     Bit ``s`` of a batched good value is sequence ``s``; the mask holds
-    the block's lanes of every sequence whose bit is set, so a boundary
-    net, a flop seed or an observe-point comparison broadcasts each
-    sequence's good value to that sequence's lanes only.  Entries are
+    the block's lanes of every sequence whose bit is set, so every good
+    value a block reads or compares against broadcasts each sequence's
+    good value to that sequence's lanes only.  Entries are
     filled on first use from per-byte tables (eight sequences per
     lookup); with one sequence the map is ``{0: 0, 1: full}``.
     """
@@ -455,8 +441,8 @@ class ArenaFaultSim:
     """Fault simulation over one :class:`NetlistArena`.
 
     Holds every reusable artifact of repeated simulation against the same
-    arena: the good-machine chunk functions and the memoized good-plane
-    pass.  Get instances through :func:`get_arena_sim` so every
+    arena: the good-machine chunk functions and the lane-block kernel's
+    rows.  Get instances through :func:`get_arena_sim` so every
     ``FaultSimulator`` and ``LogicSimulator`` over the same netlist shares
     them.
     """
@@ -464,23 +450,46 @@ class ArenaFaultSim:
     def __init__(self, arena: NetlistArena):
         self.arena = arena
         self._chunks = None  # good-machine codegen, built lazily
-        # Good-plane memo: one entry, keyed by the identity of the vector
-        # lists and the initial state (a bench loop repeating one call).
-        # Strong refs are intentional — callers must not mutate a vector
-        # list in place between calls (no caller does; vectors are built
-        # fresh per sequence).
-        self._good_seqs: Tuple[Sequence[Vector], ...] = ()
-        self._good_istate: Optional[Mapping[int, int]] = None
-        self._good = None
+        self._kernel = None  # lane-block kernel rows, built lazily
+
+    def _kernel_rows(self):
+        """The lane-block kernel's view of the arena, built on first use:
+        ``(rows, readers, level, loads)``.
+
+        Net ids are doubled, because they index the ``[o0, z0, o1, z1,
+        ...]`` good planes.  ``rows[gi]`` is ``(op, 2 * output, 2 *
+        inputs, readers of the output)``; ``readers[n]`` holds the gate
+        rows that read net ``n`` and ``level[gi]`` the level of row
+        ``gi``; ``loads`` maps ``2 * D`` to ``2 * Q`` of the flip-flops
+        that D net loads.
+        """
+        if self._kernel is None:
+            arena = self.arena
+            reader, off = arena.reader, arena.reader_off
+            fanin, fanin_off = arena.fanin, arena.fanin_off
+            twice = [2 * n for n in range(arena.num_nets)]  # shared ints
+            gis = list(range(arena.num_gates))  # shared ints
+            readers = [tuple(gis[r] for r in reader[off[n]:off[n + 1]])
+                       for n in range(arena.num_nets)]
+            rows = [
+                (arena.gate_op[gi], twice[arena.gate_out[gi]],
+                 tuple(twice[i]
+                       for i in fanin[fanin_off[gi]:fanin_off[gi + 1]]),
+                 readers[arena.gate_out[gi]])
+                for gi in gis
+            ]
+            loads: Dict[int, Tuple[int, ...]] = {}
+            for q, d in zip(arena.dff_q, arena.dff_d):
+                loads[2 * d] = loads.get(2 * d, ()) + (2 * q,)
+            self._kernel = (rows, readers, list(arena.gate_level), loads)
+        return self._kernel
 
     # -- good machine -------------------------------------------------------
 
     def chunks(self) -> List:
         """The good-machine ``fn(V, full)`` chunk functions (built once)."""
         if self._chunks is None:
-            self._chunks = _codegen_chunks(self.arena.gates(),
-                                           self.arena.name,
-                                           num_nets=self.arena.num_nets)
+            self._chunks = _codegen_chunks(self.arena)
         return self._chunks
 
     def _good_pass(self, sequences: Sequence[Sequence[Vector]],
@@ -494,19 +503,10 @@ class ArenaFaultSim:
         same layout OR-ed over all cycles: ``ever[2n]`` / ``ever[2n+1]``
         mark the sequences in which net ``n`` ever carried binary 1 / 0.
         """
-        from repro.obs import counter
-
-        seqs = tuple(sequences)
-        if (initial_state is self._good_istate
-                and len(seqs) == len(self._good_seqs)
-                and all(map(operator.is_, seqs, self._good_seqs))):
-            counter("fault_sim.arena.good_plane_hits").inc()
-            return self._good
-
         chunks = self.chunks()
         arena = self.arena
         pis, dff_q, dff_d = arena.pis, arena.dff_q, arena.dff_d
-        full = (1 << len(seqs)) - 1
+        full = (1 << len(sequences)) - 1
         state: Dict[int, Mask] = {q: (0, 0) for q in dff_q}
         if initial_state:
             for q, bit in initial_state.items():
@@ -515,8 +515,8 @@ class ArenaFaultSim:
         values[1] = full  # const0 zeros plane
         values[2] = full  # const1 ones plane
         planes: List[List[int]] = []
-        for cycle in range(len(seqs[0])):
-            vecs = [vectors[cycle] for vectors in seqs]
+        for cycle in range(len(sequences[0])):
+            vecs = [vectors[cycle] for vectors in sequences]
             for pi in pis:
                 ones = zeros = 0
                 bit_s = 1
@@ -544,47 +544,49 @@ class ArenaFaultSim:
         ever = planes[0] if planes else [0] * len(values)
         for plane in planes[1:]:
             ever = list(map(operator.or_, ever, plane))
-        self._good = (planes, ever)
-        self._good_seqs = seqs
-        self._good_istate = initial_state
-        return self._good
+        return planes, ever
 
     # -- lane blocks ----------------------------------------------------------
 
     def _run_block(self, blk: Sequence[Tuple[AnyFault, int]],
                    num_seqs: int, planes,
-                   initial_state: Optional[Mapping[int, int]],
-                   obs_set: frozenset) -> Tuple[int, int]:
-        """One lane block: the union fanout cone of the block's sites
-        interpreted over a flat value list, with injection fused at the
-        sites, detection against the good planes and early exit once
-        every lane has detected.
+                   obs2: frozenset) -> Tuple[int, int, int]:
+        """One lane block, event-driven; returns ``(detected lanes, all
+        lanes, gate-row evaluations)``.
 
-        Lane ``li`` carries the pair ``blk[li] = (fault, sequence)``.
-        Values the block reads from outside its cone — boundary nets,
-        the flop seeds and the good values it compares against — come
-        from the batched good planes through :class:`_Spread`, so each
-        lane sees its own sequence's good machine.
+        Lane ``li`` carries the pair ``blk[li] = (fault, sequence)``, and
+        ``obs2`` holds the observe points' doubled net ids.  A net's
+        *broadcast good value* is its batched good-plane value spread
+        through :class:`_Spread`, so each lane sees its own sequence's
+        good machine.  Each cycle stores only the nets whose
+        value differs from it (``diff``), and a gate row is evaluated only
+        when one of its inputs differs, in level order from per-level
+        buckets: a gate whose inputs all equal their broadcast good values
+        outputs its own.
 
-        Each cycle runs one gate program.  Stuck-at lanes are forced on
-        every cycle, so their masks live in the every-cycle program
-        (``fills`` for sites no cone gate produces, the producing gate's
-        entry otherwise).  An upset is forced only in its flip cycle,
-        which runs a list copy of that program with the cycle's upsets
-        patched in.  A block of upsets alone starts at its earliest flip,
-        with the cone's flip-flops seeded from the good plane of the
-        preceding cycle: before its first injection every lane equals the
-        good machine, so nothing can detect there.
+        A cycle starts from the differing D values the flip-flops carried
+        out of the previous cycle, then seeds the cycle's force map: every
+        stuck-at site, plus the upsets that flip in this cycle.  A site
+        that is a gate output is seeded from its broadcast good value and
+        forced again if its gate is evaluated.  A lane detects where a
+        differing observe point holds the binary opposite of its
+        sequence's good value; lanes never interact, so a lane that has
+        detected leaves the force maps and the carried values and
+        follows the good machine from the next cycle on.  Before a
+        block's first injection every lane equals the good machine, so a
+        block of upsets alone starts at its earliest flip.
         """
-        arena = self.arena
-        fanin, fanin_off = arena.fanin, arena.fanin_off
-        gate_op, gate_out = arena.gate_op, arena.gate_out
-        dff_q, dff_d = arena.dff_q, arena.dff_d
+        rows, readers_of, level, loads = self._kernel_rows()
+        # One bucket of pending gate rows per level, emptied as it runs
+        # (rows are in level order, so the last row has the top level).
+        buckets: List[Set[int]] = [
+            set() for _ in range(level[-1] + 1 if level else 1)]
         lanes = len(blk)
         full = (1 << lanes) - 1
 
-        # net -> (force1, force0) lane masks: stuck-at lanes in ``every``,
-        # upsets under their flip cycle in ``flips``.
+        # 2 * net -> (force1, force0) lane masks: stuck-at lanes in
+        # ``every``, upsets under their flip cycle in ``flips``, which
+        # below also takes in ``every``.
         every: Dict[int, Mask] = {}
         flips: Dict[int, Dict[int, Mask]] = {}
         seq_lanes = [0] * num_seqs
@@ -592,133 +594,147 @@ class ArenaFaultSim:
             seq_lanes[s] |= 1 << li
             per = (flips.setdefault(f.cycle, {})
                    if isinstance(f, TransientFault) else every)
-            m1, m0 = per.get(f.net, (0, 0))
+            m1, m0 = per.get(2 * f.net, (0, 0))
             if f.value == 1:
                 m1 |= 1 << li
             else:
                 m0 |= 1 << li
-            per[f.net] = (m1, m0)
+            per[2 * f.net] = (m1, m0)
         spread = _Spread(seq_lanes)
 
-        # The cone's gate rows and flip-flops, boundary nets (read by the
-        # cone but produced outside it: they broadcast the good value)
-        # and observe points.
-        cone = arena.cone_of({f.net for f, _s in blk})
-        cone_gis = [gi for gi in range(len(gate_out)) if gate_out[gi] in cone]
-        cone_dks = [k for k in range(len(dff_q)) if dff_q[k] in cone]
-        innets: Set[int] = set()
-        for gi in cone_gis:
-            innets.update(fanin[fanin_off[gi]:fanin_off[gi + 1]])
-        for k in cone_dks:
-            innets.add(dff_d[k])
-        comb_out = {gate_out[gi] for gi in cone_gis}
-        produced = comb_out | {dff_q[k] for k in cone_dks}
-        bound2 = [2 * n for n in sorted((innets | cone) - produced)]
-        obs2 = [2 * p for p in sorted(obs_set & cone)]
-        dffs = [(2 * dff_q[k], 2 * dff_d[k]) for k in cone_dks]
+        # A cycle's force map over the lanes still live, 2 * net ->
+        # (force1, force0, keep mask): an upset joins the stuck-at sites
+        # in its flip cycle.
+        def force_map(masks: Mapping[int, Mask], live: int
+                      ) -> Dict[int, Tuple[int, int, int]]:
+            return {n2: (m1 & live, m0 & live, ~((m1 | m0) & live))
+                    for n2, (m1, m0) in masks.items() if (m1 | m0) & live}
 
-        base_fills = [(2 * n, ~(m1 | m0), m1, m0)
-                      for n, (m1, m0) in sorted(every.items())
-                      if n not in comb_out]
-        upset_nets = {n for per in flips.values() for n in per}
-        base = []
-        row_of: Dict[int, int] = {}  # upset site -> its program row
-        for gi in cone_gis:
-            out = gate_out[gi]
-            ins2 = tuple(2 * i for i in
-                         fanin[fanin_off[gi]:fanin_off[gi + 1]])
-            m1, m0 = every.get(out, (0, 0))
-            em = ~(m1 | m0) if (m1 or m0) else None
-            if out in upset_nets:
-                row_of[out] = len(base)
-            base.append((gate_op[gi], 2 * out, ins2, em, m1, m0))
+        for cycle, upsets in flips.items():
+            merged = dict(every)
+            for n2, (u1, u0) in upsets.items():
+                m1, m0 = merged.get(n2, (0, 0))
+                merged[n2] = (m1 | u1, m0 | u0)
+            flips[cycle] = merged
+        forces = force_map(every, full)
 
-        def program(cycle: int):
-            """The (gate program, fills) pair for ``cycle``."""
-            upsets = flips.get(cycle)
-            if not upsets:
-                return base, base_fills
-            prog, fills = list(base), list(base_fills)
-            for n, (u1, u0) in upsets.items():
-                if n in comb_out:
-                    op, o2, ins2, _em, m1, m0 = prog[row_of[n]]
-                    m1 |= u1
-                    m0 |= u0
-                    prog[row_of[n]] = (op, o2, ins2, ~(m1 | m0), m1, m0)
-                else:
-                    fills.append((2 * n, ~(u1 | u0), u1, u0))
-            return prog, fills
-
-        cstart = 0 if every else min(flips)
-        v = [0] * (2 * arena.num_nets)
-        state: Dict[int, Mask] = {}
-        if cstart > 0:
-            prev = planes[cstart - 1]
-            for q2, d2 in dffs:
-                state[q2] = (spread[prev[d2]], spread[prev[d2 + 1]])
-        else:
-            for q2, _d2 in dffs:
-                if initial_state and q2 // 2 in initial_state:
-                    state[q2] = ((full, 0) if initial_state[q2 // 2]
-                                 else (0, full))
-                else:
-                    state[q2] = (0, 0)
-        det = 0
-        for cycle in range(cstart, len(planes)):
+        carry: Dict[int, Mask] = {}  # 2 * Q net -> differing value
+        det = evals = 0
+        for cycle in range(0 if every else min(flips), len(planes)):
             plane = planes[cycle]
-            prog, fills = program(cycle)
-            for i in bound2:
-                v[i] = spread[plane[i]]
-                v[i + 1] = spread[plane[i + 1]]
-            for q2, _d2 in dffs:
-                o, z = state[q2]
-                v[q2] = o
-                v[q2 + 1] = z
-            for i, em, m1, m0 in fills:
-                v[i] = (v[i] & em) | m1
-                v[i + 1] = (v[i + 1] & em) | m0
-            for op, o2, ins2, em, m1, m0 in prog:
-                if op == OP_AND or op == OP_NAND:
-                    o, z = full, 0
-                    for i in ins2:
-                        o &= v[i]
-                        z |= v[i + 1]
-                    if op == OP_NAND:
-                        o, z = z, o
-                elif op == OP_OR or op == OP_NOR:
-                    o, z = 0, full
-                    for i in ins2:
-                        o |= v[i]
-                        z &= v[i + 1]
-                    if op == OP_NOR:
-                        o, z = z, o
-                elif op == OP_NOT:
-                    o = v[ins2[0] + 1]
-                    z = v[ins2[0]]
-                elif op == OP_BUF:
-                    o = v[ins2[0]]
-                    z = v[ins2[0] + 1]
-                else:  # XOR / XNOR n-ary fold
-                    o, z = 0, full
-                    for i in ins2:
-                        io, iz = v[i], v[i + 1]
-                        o, z = (o & iz) | (z & io), (o & io) | (z & iz)
-                    if op == OP_XNOR:
-                        o, z = z, o
-                if em is not None:
-                    o = (o & em) | m1
-                    z = (z & em) | m0
-                v[o2] = o
-                v[o2 + 1] = z
-            # A lane detects where it holds the binary opposite of its
-            # sequence's good value.
-            for i in obs2:
-                det |= (v[i + 1] & spread[plane[i]]) | \
-                       (v[i] & spread[plane[i + 1]])
-            state = {q2: (v[d2], v[d2 + 1]) for q2, d2 in dffs}
-            if det == full:
+            force = (force_map(flips[cycle], ~det) if cycle in flips
+                     else forces)
+            diff = carry
+            for q2 in carry:
+                for r in readers_of[q2 >> 1]:
+                    buckets[level[r]].add(r)
+            for n2, (m1, m0, em) in force.items():
+                g1 = spread[plane[n2]]
+                g0 = spread[plane[n2 + 1]]
+                o, z = diff.get(n2, (g1, g0))
+                o = (o & em) | m1
+                z = (z & em) | m0
+                if o != g1 or z != g0:
+                    diff[n2] = (o, z)
+                    for r in readers_of[n2 >> 1]:
+                        buckets[level[r]].add(r)
+                else:
+                    diff.pop(n2, None)
+
+            get = diff.get
+            for bucket in buckets:
+                if not bucket:
+                    continue
+                evals += len(bucket)
+                for gi in bucket:
+                    op, out2, ins2, readers = rows[gi]
+                    if op == OP_AND or op == OP_NAND:
+                        o, z = full, 0
+                        for i in ins2:
+                            d = get(i)
+                            if d is None:
+                                o &= spread[plane[i]]
+                                z |= spread[plane[i + 1]]
+                            else:
+                                o &= d[0]
+                                z |= d[1]
+                        if op == OP_NAND:
+                            o, z = z, o
+                    elif op == OP_OR or op == OP_NOR:
+                        o, z = 0, full
+                        for i in ins2:
+                            d = get(i)
+                            if d is None:
+                                o |= spread[plane[i]]
+                                z &= spread[plane[i + 1]]
+                            else:
+                                o |= d[0]
+                                z &= d[1]
+                        if op == OP_NOR:
+                            o, z = z, o
+                    elif op == OP_NOT or op == OP_BUF:
+                        i = ins2[0]
+                        d = get(i)
+                        if d is None:
+                            o = spread[plane[i]]
+                            z = spread[plane[i + 1]]
+                        else:
+                            o, z = d
+                        if op == OP_NOT:
+                            o, z = z, o
+                    else:  # XOR / XNOR n-ary fold
+                        o, z = 0, full
+                        for i in ins2:
+                            d = get(i)
+                            if d is None:
+                                io = spread[plane[i]]
+                                iz = spread[plane[i + 1]]
+                            else:
+                                io, iz = d
+                            o, z = (o & iz) | (z & io), (o & io) | (z & iz)
+                        if op == OP_XNOR:
+                            o, z = z, o
+                    forced = force.get(out2)
+                    if forced is not None:
+                        m1, m0, em = forced
+                        o = (o & em) | m1
+                        z = (z & em) | m0
+                    if (o != spread[plane[out2]]
+                            or z != spread[plane[out2 + 1]]):
+                        diff[out2] = (o, z)
+                        for r in readers:
+                            buckets[level[r]].add(r)
+                    elif forced is not None:
+                        diff.pop(out2, None)  # its seed differed
+                bucket.clear()
+
+            seen = det
+            for n2, (o, z) in diff.items():
+                if n2 in obs2:
+                    det |= ((z & spread[plane[n2]])
+                            | (o & spread[plane[n2 + 1]]))
+            if det == full or cycle + 1 == len(planes):
                 break
-        return det, full
+            # Lanes never interact, and a lane that has detected is done:
+            # it leaves the force maps and the carried values, so it
+            # follows the good machine from the next cycle on.
+            if det != seen:
+                forces = force_map(every, ~det)
+            carry = {}
+            for n2, (o, z) in diff.items():
+                qs = loads.get(n2)
+                if qs is None:
+                    continue
+                if det:
+                    g1 = spread[plane[n2]]
+                    g0 = spread[plane[n2 + 1]]
+                    o = (o & ~det) | (g1 & det)
+                    z = (z & ~det) | (g0 & det)
+                    if o == g1 and z == g0:
+                        continue
+                for q2 in qs:
+                    carry[q2] = (o, z)
+        return det, full, evals
 
     # -- public entry --------------------------------------------------------
 
@@ -740,7 +756,7 @@ class ArenaFaultSim:
         upsets (:class:`TransientFault`).
 
         A lane carries one (fault, sequence) pair.  Each model has an
-        exact filter over the memoized good planes: a stuck-at-``v``
+        exact filter over the batch's good planes: a stuck-at-``v``
         fault keeps a sequence only if its site ever carries binary
         ``1-v`` in it, an upset forcing ``v`` only if its site carries
         binary ``1-v`` in the flip cycle.  Elsewhere the force is the
@@ -762,7 +778,7 @@ class ArenaFaultSim:
         obs_points: Set[int] = set(arena.pos)
         if extra_observables:
             obs_points.update(extra_observables)
-        obs_set = frozenset(obs_points)
+        obs2 = frozenset(2 * n for n in obs_points)
 
         # Fault -> mask of the sequences that may detect it.  Index
         # ``2 * net + value`` is the plane of the value a stuck-at-value
@@ -792,13 +808,14 @@ class ArenaFaultSim:
         # blocks run in pair order, so the first detection of a fault
         # seen is its earliest sequence.
         first: Dict[AnyFault, int] = {}
-        blocks = filled = early = 0
+        blocks = filled = early = evals = 0
         for start in range(0, len(pairs), lanes):
             blk = pairs[start:start + lanes]
-            det, present = self._run_block(blk, len(sequences), planes,
-                                           initial_state, obs_set)
+            det, present, block_evals = self._run_block(
+                blk, len(sequences), planes, obs2)
             blocks += 1
             filled += len(blk)
+            evals += block_evals
             if det == present:
                 early += 1
             while det:
@@ -811,6 +828,7 @@ class ArenaFaultSim:
         counter("fault_sim.arena.passes").inc(blocks)
         counter("fault_sim.arena.lanes_filled").inc(filled)
         counter("fault_sim.arena.early_exits").inc(early)
+        counter("fault_sim.arena.gate_evals").inc(evals)
         return found, blocks
 
 
@@ -822,8 +840,8 @@ def get_arena_sim(netlist: Netlist) -> ArenaFaultSim:
 
     One simulator per netlist object, rebuilt when the netlist grew
     (append-only mutation is the only kind this codebase performs), so
-    every simulator facade over it shares one set of good-machine chunks
-    and one good-plane memo.  The simulator holds the arena, never the
+    every simulator facade over it shares one set of good-machine chunks.
+    The simulator holds the arena, never the
     netlist: the cache entry dies with its netlist.  Across processes the
     pickled arena is memoized in the artifact store under the ``arena``
     stage, keyed by the netlist fingerprint.

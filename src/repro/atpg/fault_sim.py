@@ -190,10 +190,10 @@ class FaultSimulator:
     """Grades vector sequences against a fault list, lane-parallel.
 
     ``backend="arena"`` (default) runs the struct-of-arrays simulation of
-    :mod:`repro.atpg.arena`: one memoized good-machine pass per batch of
-    sequences, a provably exact undetectability filter, and
-    cone-partitioned lane blocks whose lanes each carry one (fault,
-    sequence) pair.  ``backend="interpreted"`` walks the full flat gate
+    :mod:`repro.atpg.arena`: one good-machine pass per batch of
+    sequences, a provably exact undetectability filter, and event-driven
+    lane blocks whose lanes each carry one (fault, sequence) pair and
+    which evaluate only the gates a fault effect reaches.  ``backend="interpreted"`` walks the full flat gate
     list per block of faults (:func:`simulate_lanes`), one sequence at a
     time with fault dropping — slowest, kept as the reference oracle.
     Results are bit-identical across both.

@@ -15,7 +15,7 @@ Stages and their keys:
 ``extract``  (design fp, MUT module+path, extraction mode)
 ``transform``(design fp, MUT module+path, mode, optimize flag)
 ``synth``    (design fp, root, netlist name, optimize flag)
-``codegen``  (levelized gate-order fp, chunk size, CPython magic)
+``codegen``  (arena digest = levelized gate-order fp, chunk size, magic)
 ``atpg``     (netlist content fp, resolved ATPG options fp)
 ``campaign`` (trial job-spec request fingerprint)
 ===========  ==============================================================

@@ -1,11 +1,13 @@
 """Differential tests for the arena fault-simulation backend.
 
-The arena backend (struct-of-arrays netlist encoding, memoized good-machine
-pass, exact undetectability filter, cone-partitioned lane blocks) must
-produce detected-fault sets bit-identical to the interpreted oracle on
+The arena backend (struct-of-arrays netlist encoding, one batched
+good-machine pass, exact undetectability filter, event-driven lane blocks)
+must produce detected-fault sets bit-identical to the interpreted oracle on
 every netlist — including X inputs, preset flip-flop state, Q-net primary
 outputs and extra observe points — at any lane width, for one sequence or
 a batch, and the arena itself must survive a pickle round trip unchanged.
+Hand-built netlists cover the event kernel's edge cases, and a pinned
+gate-evaluation count on arm_alu guards its work.
 """
 
 import gc
@@ -17,10 +19,15 @@ import pytest
 
 from repro.atpg.arena import (ArenaFaultSim, NetlistArena, get_arena,
                               get_arena_sim)
+from repro.atpg.engine import AtpgEngine, AtpgOptions
 from repro.atpg.fault_sim import FaultSimulator
-from repro.atpg.faults import build_fault_list, build_transient_fault_list
+from repro.atpg.faults import (Fault, TransientFault, build_fault_list,
+                               build_transient_fault_list)
 from repro.atpg.simulator import LogicSimulator
-from repro.synth.netlist import GateType
+from repro.core.factor import Factor
+from repro.designs import arm2_source
+from repro.obs import get_registry
+from repro.synth.netlist import GateType, Netlist
 
 from tests.sim_helpers import random_bit_vectors, random_netlist
 
@@ -90,6 +97,133 @@ def test_batch_equality(seed):
     assert any(results[0])
 
 
+# -- event-kernel edge cases --------------------------------------------------
+#
+# Small hand-built netlists, every stuck-at fault and every upset of every
+# net, graded in batches: the event kernel at 2, 5 and 512 lanes must
+# report the interpreted oracle's first detections, and each case asserts
+# the detection its structure is about.
+
+
+def edge_faults(nl, cycles):
+    nets = sorted(set(nl.pis) | {g.output for g in nl.gates})
+    return ([Fault(n, v) for n in nets for v in (0, 1)]
+            + [TransientFault(n, v, c)
+               for n in nets for v in (0, 1) for c in range(cycles)])
+
+
+def edge_case(nl, sequences, faults=None, initial_state=None, extra=None):
+    """First detections of the event kernel at 2, 5 and 512 lanes, checked
+    against the interpreted oracle."""
+    faults = faults or edge_faults(nl, len(sequences[0]))
+    oracle = FaultSimulator(nl, backend="interpreted").first_detections(
+        sequences, faults, initial_state, extra)
+    for lanes in (2, 5, 512):
+        assert FaultSimulator(nl, lanes=lanes, backend="arena") \
+            .first_detections(sequences, faults, initial_state,
+                              extra) == oracle, lanes
+    return oracle
+
+
+def test_edge_effect_cancels_then_reappears():
+    """Reconvergent fanout: an effect on ``a`` cancels at ``y`` (two
+    differing inputs, no differing output) and reaches ``out`` along a
+    deeper path."""
+    nl = Netlist("reconverge")
+    a, b = nl.add_pi("a"), nl.add_pi("b")
+    y = nl.add_gate(GateType.XOR, [nl.add_gate(GateType.BUF, [a]),
+                                   nl.add_gate(GateType.NOT, [a])])
+    deep = nl.add_gate(GateType.NOT, [nl.add_gate(GateType.NOT, [a])])
+    nl.add_po(nl.add_gate(GateType.AND, [y, deep, b]), "out")
+    found = edge_case(nl, [[{a: 0, b: 1}, {a: 0, b: 0}],
+                           [{a: 1, b: 1}, {a: 0, b: 1}]])
+    assert Fault(a, 1) in found[0] and Fault(a, 0) in found[1]
+
+
+def test_edge_gate_reads_one_net_twice():
+    nl = Netlist("twice")
+    a, b = nl.add_pi("a"), nl.add_pi("b")
+    x = nl.add_gate(GateType.XOR, [a, a])  # an effect on a cancels here
+    nl.add_po(nl.add_gate(GateType.OR, [x, nl.add_gate(GateType.NAND,
+                                                        [b, b])]), "o")
+    found = edge_case(nl, [[{a: 1, b: 1}], [{a: 0, b: 0}], [{a: 1}]])
+    assert Fault(b, 0) in found[0] and Fault(b, 1) in found[1]
+    assert not any(Fault(a, v) in hit for hit in found for v in (0, 1))
+
+
+def test_edge_stuck_flop_q_that_is_a_po():
+    nl = Netlist("qpo")
+    a = nl.add_pi("a")
+    q = nl.new_net("q")
+    nl.add_gate_to(GateType.DFF, q, [nl.add_gate(GateType.XOR, [a, q])])
+    nl.add_po(q, "q")
+    nl.add_po(nl.add_gate(GateType.AND, [q, a]), "o")
+    found = edge_case(nl, [[{a: 1}, {a: 1}, {a: 0}],
+                           [{a: 0}, {a: 0}, {a: 1}]], initial_state={q: 0})
+    # Good q is 0 then 1 in the first sequence.
+    assert Fault(q, 1) in found[0] and Fault(q, 0) in found[0]
+
+
+def test_edge_effect_reaches_only_a_flop_d():
+    """``g`` feeds nothing but a flop, so its effect is observed a cycle
+    later; in the second sequence it is excited only in cycle 1, where
+    no input of ``g`` differs and only the site's reseeding carries it."""
+    nl = Netlist("donly")
+    a, b = nl.add_pi("a"), nl.add_pi("b")
+    g = nl.add_gate(GateType.AND, [a, b])
+    q = nl.new_net("q")
+    nl.add_gate_to(GateType.DFF, q, [g])
+    nl.add_po(nl.add_gate(GateType.BUF, [q]), "o")
+    found = edge_case(nl, [[{a: 0, b: 1}, {a: 0, b: 0}, {a: 0, b: 0}],
+                           [{a: 0, b: 0}, {a: 1, b: 1}, {a: 0, b: 0}]])
+    assert Fault(g, 1) in found[0] and TransientFault(g, 1, 0) in found[0]
+    assert Fault(g, 0) in found[1] and TransientFault(g, 0, 1) in found[1]
+
+
+def test_edge_upset_only_block_with_late_flip():
+    nl = Netlist("late")
+    a = nl.add_pi("a")
+    q = nl.new_net("q")
+    d = nl.add_gate(GateType.XOR, [a, q])
+    nl.add_gate_to(GateType.DFF, q, [d])
+    nl.add_po(q, "q")
+    vectors = [{a: 1}, {a: 0}, {a: 1}, {a: 1}, {a: 0}]
+    nets = (a, q, d)
+    upsets = [TransientFault(n, v, c)
+              for n in nets for v in (0, 1) for c in (3, 4)]
+    found = edge_case(nl, [vectors, vectors[::-1]], upsets,
+                      initial_state={q: 0})
+    # Good q is 0, 1, 1, 0, 1 and good d 1, 1, 0, 1, 1: a flip of q is
+    # seen at once, a flip of d one cycle later through the flop.
+    assert TransientFault(q, 1, 3) in found[0]
+    assert TransientFault(d, 0, 3) in found[0]
+    assert TransientFault(d, 0, 4) not in found[0]
+
+
+def test_edge_x_initial_state():
+    nl = Netlist("xinit")
+    a, b = nl.add_pi("a"), nl.add_pi("b")
+    q = nl.new_net("q")
+    nl.add_gate_to(GateType.DFF, q, [nl.add_gate(GateType.AND, [a, b])])
+    nl.add_po(nl.add_gate(GateType.OR, [q, a]), "o")
+    nl.add_po(nl.add_gate(GateType.AND, [q, b]), "p")
+    found = edge_case(nl, [[{a: 0}, {a: 1, b: 1}, {a: 0, b: 1}],
+                           [{b: 1}, {a: 0, b: 1}, {a: 1, b: 0}]])
+    # q is X in cycle 0, so forcing it is seen only from cycle 1 on.
+    assert Fault(q, 1) in found[0]
+
+
+def test_edge_site_without_readers_is_an_extra_observable():
+    nl = Netlist("noreader")
+    a, b, c = nl.add_pi("a"), nl.add_pi("b"), nl.add_pi("c")
+    g = nl.add_gate(GateType.NAND, [a, b])  # no readers, not a PO
+    nl.add_po(nl.add_gate(GateType.OR, [a, b]), "o")
+    found = edge_case(nl, [[{a: 1, b: 1, c: 1}], [{a: 0, b: 1, c: 0}]],
+                      extra=[g, c])
+    assert {Fault(g, 1), Fault(c, 0)} <= found[0]
+    assert {Fault(g, 0), Fault(c, 1)} <= found[1]
+
+
 def test_short_sequences_and_subsets():
     """ATPG-style calls: one or two vectors, shrinking fault subsets."""
     nl = random_netlist(4, num_pis=6, num_dffs=3, num_gates=30)
@@ -118,8 +252,9 @@ def test_arena_pickle_round_trip_identity():
     assert isinstance(clone, NetlistArena)
     assert clone.fingerprint == arena.fingerprint
     assert clone.digest == arena.digest
-    for row in ("gate_op", "gate_out", "fanin_off", "fanin", "dff_q",
-                "dff_d", "pis", "pos", "adj_off", "adj", "site_rank"):
+    for row in ("gate_op", "gate_out", "gate_level", "fanin_off", "fanin",
+                "reader_off", "reader", "dff_q", "dff_d", "pis", "pos",
+                "site_rank"):
         assert getattr(clone, row) == getattr(arena, row), row
 
     # A simulator over the unpickled arena detects the same faults.
@@ -150,6 +285,26 @@ def test_refinement_filter_is_exact():
         faults = build_fault_list(nl)
         assert (detect(nl, "arena", vectors, faults)
                 == detect(nl, "interpreted", vectors, faults))
+
+
+def test_codegen_store_hit_rebuilds_no_gates(monkeypatch):
+    """A warm ``codegen`` entry is keyed by the arena digest alone: the
+    warm simulator never rebuilds the ``Gate`` list."""
+    nl = random_netlist(9, num_pis=5, num_dffs=3, num_gates=25)
+    arena = get_arena(nl)
+    ArenaFaultSim(arena).chunks()  # cold: generate, compile, store
+
+    def no_gates(self):
+        raise AssertionError("gates() rebuilt on a warm codegen store")
+
+    monkeypatch.setattr(NetlistArena, "gates", no_gates)
+    warm = ArenaFaultSim(arena)
+    assert warm.chunks()
+    vectors = random_bit_vectors(nl, cycles=6, seed=9, x_rate=0.2)
+    faults = build_fault_list(nl)
+    (det,), _ = warm.first_detections([vectors], faults)
+    monkeypatch.undo()
+    assert det == detect(nl, "interpreted", vectors, faults)
 
 
 def test_gate_reconstruction_round_trips():
@@ -183,3 +338,34 @@ def test_simulator_freed_with_its_netlist():
     gc.collect()
     assert sim_ref() is None
     assert arena_ref() is None
+
+
+# ``fault_sim.arena.gate_evals``, ``.passes`` and ``.lanes_filled`` of one
+# arm_alu ATPG run: a 16-sequence random phase, PODEM cross-fault
+# simulation and SEU grading.  Sweeping each block's whole fanout cone
+# evaluated 77,036 gate rows over the same blocks.
+GATE_EVALS_PIN = (8087, 17, 455)
+
+
+def test_gate_evals_pinned_on_arm_alu():
+    factor = Factor.from_verilog(arm2_source(), top="arm")
+    analysis = factor.analyze("arm_alu", path="u_core.u_dp.u_alu.")
+    options = AtpgOptions(seed=2002, fault_model="both", max_frames=1,
+                          backtrack_limit=5, fault_time_limit=10.0,
+                          fault_sample=60, random_sequences=16,
+                          random_sequence_length=8,
+                          fault_sim_backend="arena")
+    options.fault_region = analysis.transformed.mut_region
+    options.pier_qs = frozenset(analysis.pier_nets)
+    names = ("fault_sim.arena.gate_evals", "fault_sim.arena.passes",
+             "fault_sim.arena.lanes_filled")
+
+    def counts():
+        snap = get_registry().snapshot("fault_sim.arena.")
+        return [snap[name]["value"] if name in snap else 0
+                for name in names]
+
+    before = counts()
+    AtpgEngine(analysis.transformed.netlist, options).run()
+    assert tuple(after - start for start, after
+                 in zip(before, counts())) == GATE_EVALS_PIN

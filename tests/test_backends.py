@@ -1,7 +1,7 @@
 """Differential tests for the two simulation backends.
 
 The arena backend (code-generated good-machine evaluation plus
-cone-partitioned lane-block fault simulation) must be observationally
+event-driven lane-block fault simulation) must be observationally
 identical to the interpreted reference on every netlist: same three-valued
 net values, same detected fault sets, same ATPG results.  These tests drive
 both backends over seeded random netlists and the bundled library designs
@@ -122,9 +122,23 @@ def test_fanout_cone_and_levels():
     nl.add_po(g3, "o")
 
     arena = get_arena(nl)
-    assert arena.cone_of([a]) == {a, g1, g2, q, g3}
-    assert arena.cone_of([g2]) == {g2, q, g3}
-    assert arena.cone_of([a, g3]) == {a, g1, g2, q, g3}
+    row = {out: gi for gi, out in enumerate(arena.gate_out)}
+
+    def readers(net):
+        rows = list(arena.reader[arena.reader_off[net]:
+                                 arena.reader_off[net + 1]])
+        assert rows == sorted(set(rows))  # each row once, in row order
+        return {arena.gate_out[gi] for gi in rows}
+
+    # Combinational readers only: the flop reading g2 is a D->Q row.
+    assert readers(a) == {g1}
+    assert readers(b) == {g1, g3}
+    assert readers(g1) == {g2}
+    assert readers(g2) == set()
+    assert readers(q) == {g3}
+    assert list(zip(arena.dff_d, arena.dff_q)) == [(g2, q)]
+    assert [arena.gate_level[row[n]] for n in (g1, g2, g3)] == [1, 2, 1]
+    assert list(arena.gate_level) == sorted(arena.gate_level)
 
     levels = nl.levels()
     assert levels[a] == 0 and levels[q] == 0
