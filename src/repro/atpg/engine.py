@@ -59,15 +59,6 @@ class AtpgOptions:
     # None defers to the session default (arena unless REPRO_SIM_BACKEND
     # says otherwise); set "interpreted" to run against the reference oracle.
     fault_sim_backend: Optional[str] = None
-    # PODEM worker processes for the deterministic phase: 1 = serial,
-    # 0 = all cores, N = N forked workers.  Results are bit-identical at
-    # any value (docs/performance.md, "intra-job fault parallelism"), so
-    # the store fingerprint deliberately excludes this knob.  Small runs
-    # stay serial regardless (see parallel.should_parallelize), as do
-    # runs under a total_time_limit — which fault the budget cuts off
-    # depends on one process's CPU clock and cannot be replicated across
-    # workers.
-    jobs: int = 1
 
     def schedule(self) -> List[int]:
         if self.frame_schedule is not None:
@@ -102,8 +93,7 @@ class AtpgReport:
     transient_detected: int = 0
     transient_coverage_percent: float = 0.0
     abort_reasons: Dict[str, int] = field(default_factory=dict)
-    # PODEM effort over the committed searches (every depth of every
-    # targeted fault): deterministic, and equal at any ``jobs`` value.
+    # PODEM effort over every depth of every targeted fault.
     implications: int = 0
     backtracks: int = 0
     record: Optional[RunRecord] = field(default=None, repr=False)
@@ -171,125 +161,27 @@ class SequentialAtpg:
         return last
 
 
-class PodemCommitState:
-    """Per-fault classification, shared by the serial and parallel paths.
-
-    :meth:`commit` is the exact body of the serial PODEM loop: book the
-    result, and on detection append the test and cross-fault-simulate its
-    vectors against every remaining fault.  The parallel coordinator
-    feeds it worker-computed results *in serial fault order*, so the
-    detected/untestable/aborted sets, the dropped-fault cascade, the
-    tests list and the coverage are bit-identical to a serial run by
-    construction — workers only ever speculate, they never classify.
-    """
-
-    def __init__(self, engine: "AtpgEngine", faults: List[Fault],
-                 remaining: Set[Fault], detected: Set[Fault],
-                 fsim: FaultSimulator, fault_sim_timer: CpuTimer,
-                 observe: Optional[List[int]]):
-        self.engine = engine
-        self.faults = faults
-        self.total = len(faults)
-        self.remaining = remaining
-        self.detected = detected
-        self.untestable: Set[Fault] = set()
-        self.aborted: Set[Fault] = set()
-        self.abort_reasons: Dict[str, int] = {}
-        self.fsim = fsim
-        self.fault_sim_timer = fault_sim_timer
-        self.observe = observe
-        self.test_gen_seconds = 0.0
-        self.total_backtracks = 0
-        self.total_implications = 0
-        self.cross_sim_drops = 0
-        self.unattempted = 0
-
-    @property
-    def coverage_percent(self) -> float:
-        return (100.0 * len(self.detected) / self.total
-                if self.total else 100.0)
-
-    def commit(self, fault: Fault, result: PodemResult) -> None:
-        self.test_gen_seconds += result.cpu_seconds
-        self.total_backtracks += result.backtracks
-        self.total_implications += result.implications
-        counter("atpg.backtracks").inc(result.backtracks)
-        counter("atpg.decisions").inc(result.decisions)
-        counter("atpg.implications").inc(result.implications)
-        histogram("atpg.fault_seconds").observe(result.cpu_seconds)
-        if result.detected:
-            self.detected.add(fault)
-            self.remaining.discard(fault)
-            self.engine.tests.append((result.vectors, result.initial_state))
-            if self.remaining:
-                with self.fault_sim_timer:
-                    extra = self.fsim.detected_faults(
-                        result.vectors,
-                        [f for f in self.faults if f in self.remaining],
-                        initial_state=result.initial_state or None,
-                        extra_observables=self.observe,
-                    )
-                self.detected |= extra
-                self.remaining -= extra
-                self.cross_sim_drops += len(extra)
-        elif result.status == "untestable":
-            self.untestable.add(fault)
-            self.remaining.discard(fault)
-        else:
-            self.aborted.add(fault)
-            self.remaining.discard(fault)
-            reason = result.abort_reason or "unknown"
-            self.abort_reasons[reason] = self.abort_reasons.get(reason, 0) + 1
-
-    def mark_unattempted(self, fault: Fault) -> None:
-        """Serial-only: the run's total CPU budget expired first."""
-        self.unattempted += 1
-        self.remaining.discard(fault)
-        self.aborted.add(fault)
-        self.abort_reasons["total_time_limit"] = (
-            self.abort_reasons.get("total_time_limit", 0) + 1
-        )
-
-    def emit_progress(self, **extra) -> None:
-        progress("atpg.podem", detected=len(self.detected),
-                 remaining=len(self.remaining),
-                 untestable=len(self.untestable),
-                 aborted=len(self.aborted),
-                 backtracks=self.total_backtracks,
-                 coverage=round(self.coverage_percent, 2),
-                 vectors=sum(len(v) for v, _ in self.engine.tests),
-                 **extra)
-
-
 class AtpgEngine:
     """Full flow: fault list -> random phase -> PODEM phase -> report."""
+
+    # PODEM runs in this process; perfbench's podem.workers metric reads it.
+    parallel_workers = 0
 
     def __init__(self, netlist: Netlist,
                  options: Optional[AtpgOptions] = None):
         self.netlist = netlist
         self.options = options or AtpgOptions()
         self.tests: List[Tuple[List[Dict[int, int]], Dict[int, int]]] = []
-        # Populated by run(): the final classification sets (equivalence
-        # tests compare these across worker counts) and how many PODEM
-        # workers the run actually used (0 = stayed serial).
+        # Populated by run(): the final detected set (equivalence checks
+        # compare it across backends).
         self.detected_faults: Set[Fault] = set()
-        self.untestable_faults: Set[Fault] = set()
-        self.aborted_faults: Set[Fault] = set()
-        self.parallel_workers = 0
-        # Worker CPU seconds are invisible to this process's CPU clock;
-        # run() adds them back so total_seconds stays comparable with a
-        # serial run.
-        self._offloaded_cpu_seconds = 0.0
 
     def run(self) -> AtpgReport:
         with span("atpg", netlist=self.netlist.name) as sp:
             report = self._run(sp)
             # Every reported time derives from one CPU clock: the span for
             # the total, CpuTimer accumulation for the phases inside it.
-            # Forked PODEM workers burn CPU on their own clocks; their
-            # committed generation time is added back so serial and
-            # parallel totals measure the same work.
-            report.total_seconds = sp.cpu_seconds + self._offloaded_cpu_seconds
+            report.total_seconds = sp.cpu_seconds
             sp.set("faults", report.total_faults)
             sp.set("detected", report.detected)
             sp.set("coverage_percent", round(report.coverage_percent, 2))
@@ -361,30 +253,68 @@ class AtpgEngine:
             sp_random.set("detected", random_detected)
 
         # -- phase 2: deterministic PODEM ---------------------------------
-        seq = SequentialAtpg(self.netlist, opts)
-        commit = PodemCommitState(self, faults, remaining, detected,
-                                  fsim, fault_sim_timer, observe)
+        # Each targeted fault leaves ``remaining`` for one of the three
+        # verdict sets; a detection's test is cross-simulated against the
+        # faults still remaining, and every fault it catches is dropped.
+        untestable: Set[Fault] = set()
+        aborted: Set[Fault] = set()
+        abort_reasons: Dict[str, int] = {}
+        test_gen_seconds = 0.0
+        total_backtracks = total_implications = unattempted = 0
         if opts.fault_model != "transient":
-            jobs = self._podem_jobs(opts, total)
-            self.parallel_workers = jobs if jobs > 1 else 0
-            with span("atpg.podem", workers=jobs) as sp_podem:
-                if jobs > 1:
-                    from repro.atpg.parallel import run_parallel_podem
-
-                    run_parallel_podem(seq, commit, jobs, sp_podem)
-                    self._offloaded_cpu_seconds = commit.test_gen_seconds
-                else:
-                    for fault in faults:
-                        if fault not in remaining:
-                            continue
-                        if budget.expired():
-                            commit.mark_unattempted(fault)
-                            continue
-                        commit.commit(fault, seq.generate(fault))
-                        commit.emit_progress()
-                sp_podem.set("backtracks", commit.total_backtracks)
-                sp_podem.set("test_gen_seconds",
-                             round(commit.test_gen_seconds, 6))
+            seq = SequentialAtpg(self.netlist, opts)
+            with span("atpg.podem") as sp_podem:
+                for fault in faults:
+                    if fault not in remaining:
+                        continue
+                    remaining.discard(fault)
+                    if budget.expired():
+                        unattempted += 1
+                        aborted.add(fault)
+                        abort_reasons["total_time_limit"] = (
+                            abort_reasons.get("total_time_limit", 0) + 1)
+                        continue
+                    result = seq.generate(fault)
+                    test_gen_seconds += result.cpu_seconds
+                    total_backtracks += result.backtracks
+                    total_implications += result.implications
+                    counter("atpg.backtracks").inc(result.backtracks)
+                    counter("atpg.decisions").inc(result.decisions)
+                    counter("atpg.implications").inc(result.implications)
+                    histogram("atpg.fault_seconds").observe(
+                        result.cpu_seconds)
+                    if result.detected:
+                        detected.add(fault)
+                        self.tests.append(
+                            (result.vectors, result.initial_state))
+                        if remaining:
+                            with fault_sim_timer:
+                                extra = fsim.detected_faults(
+                                    result.vectors,
+                                    [f for f in faults if f in remaining],
+                                    initial_state=(result.initial_state
+                                                   or None),
+                                    extra_observables=observe,
+                                )
+                            detected |= extra
+                            remaining -= extra
+                    elif result.status == "untestable":
+                        untestable.add(fault)
+                    else:
+                        aborted.add(fault)
+                        reason = result.abort_reason or "unknown"
+                        abort_reasons[reason] = (
+                            abort_reasons.get(reason, 0) + 1)
+                    progress("atpg.podem", detected=len(detected),
+                             remaining=len(remaining),
+                             untestable=len(untestable),
+                             aborted=len(aborted),
+                             backtracks=total_backtracks,
+                             coverage=round(
+                                 100.0 * len(detected) / total, 2),
+                             vectors=sum(len(v) for v, _ in self.tests))
+                sp_podem.set("backtracks", total_backtracks)
+                sp_podem.set("test_gen_seconds", round(test_gen_seconds, 6))
 
         # -- phase 3: SEU grading of the generated test set ---------------
         transient_total = transient_detected = 0
@@ -422,21 +352,17 @@ class AtpgEngine:
                      injections=transient_total,
                      detected=transient_detected)
 
-        untestable, aborted = commit.untestable, commit.aborted
-        abort_reasons = commit.abort_reasons
         for reason, count in abort_reasons.items():
             counter(f"atpg.aborts.{reason}").inc(count)
         sp.set("fault_sim_seconds", round(fault_sim_timer.elapsed, 6))
+        coverage = 100.0 * len(detected) / total if total else 100.0
         progress("atpg.done", force=True, detected=len(detected),
                  remaining=len(remaining), untestable=len(untestable),
-                 aborted=len(aborted), backtracks=commit.total_backtracks,
-                 coverage=round(commit.coverage_percent, 2),
+                 aborted=len(aborted), backtracks=total_backtracks,
+                 coverage=round(coverage, 2),
                  vectors=sum(len(v) for v, _ in self.tests))
 
         self.detected_faults = set(detected)
-        self.untestable_faults = set(untestable)
-        self.aborted_faults = set(aborted)
-        coverage = 100.0 * len(detected) / total if total else 100.0
         efficiency = (
             100.0 * (len(detected) + len(untestable)) / total
             if total else 100.0
@@ -447,11 +373,11 @@ class AtpgEngine:
             detected=len(detected),
             untestable=len(untestable),
             aborted=len(aborted),
-            unattempted=commit.unattempted,
+            unattempted=unattempted,
             random_detected=random_detected,
             coverage_percent=coverage,
             efficiency_percent=efficiency,
-            test_gen_seconds=commit.test_gen_seconds,
+            test_gen_seconds=test_gen_seconds,
             fault_sim_seconds=fault_sim_timer.elapsed,
             total_seconds=0.0,  # patched from the "atpg" span by run()
             num_tests=len(self.tests),
@@ -464,23 +390,6 @@ class AtpgEngine:
                 else (100.0 if opts.fault_model != "stuck" else 0.0)
             ),
             abort_reasons=abort_reasons,
-            implications=commit.total_implications,
-            backtracks=commit.total_backtracks,
+            implications=total_implications,
+            backtracks=total_backtracks,
         )
-
-    def _podem_jobs(self, opts: AtpgOptions, total_faults: int) -> int:
-        """PODEM worker count after the serial-fallback gates."""
-        if opts.jobs == 1:
-            return 1
-        if opts.total_time_limit is not None:
-            # Which fault a run-wide CPU budget cuts off is a property of
-            # one process's clock; no parallel schedule reproduces it.
-            return 1
-        from repro.atpg.parallel import should_parallelize
-        from repro.jobs import resolve_jobs
-
-        resolved = resolve_jobs(opts.jobs)
-        if not should_parallelize(resolved, total_faults,
-                                  len(self.netlist.gates)):
-            return 1
-        return max(1, min(resolved, total_faults))

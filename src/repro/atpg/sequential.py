@@ -15,8 +15,7 @@ PODEM search on it.  The search runs on its **flat-index layout**: every
 is controllable or assignable.  ``base_plane`` holds the fault-free values
 with every input unassigned.  Opcodes and gate inputs come from the
 netlist's :class:`~repro.atpg.arena.NetlistArena`.  All of it is built in
-the constructor, so a fork pool that builds its models before forking
-shares them copy-on-write.
+the constructor.
 """
 
 from __future__ import annotations

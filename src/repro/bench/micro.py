@@ -31,7 +31,6 @@ from repro.atpg.engine import AtpgEngine, AtpgOptions, AtpgReport
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import (AnyFault, Fault, build_fault_list,
                                build_transient_fault_list)
-from repro.atpg.parallel import available_cores
 from repro.bench.experiments import resolve_jobs
 from repro.core.report import format_table
 from repro.designs.arm2 import arm2_design
@@ -149,104 +148,8 @@ def fault_sim_rows(quick: bool = False,
     return rows
 
 
-#: The committed arm2 intra-run parallelism benchmark configuration.
-#: ``fault_time_limit`` is set high so the backtrack limit always binds
-#: first: backtrack-bounded search is exactly reproducible, which is what
-#: lets the serial and parallel runs assert bit-identical classification
-#: (a CPU-time bound can cut a borderline fault differently between any
-#: two runs, serial ones included).
-ARM2_PARALLEL_OPTS = dict(
-    max_frames=2,
-    frame_schedule=(1, 2),
-    backtrack_limit=50,
-    fault_time_limit=10.0,
-    random_sequences=8,
-    random_sequence_length=16,
-    fault_sample=3000,
-)
-
-
-def atpg_parallel_rows(quick: bool = False, seed: int = 2002,
-                       jobs: Optional[int] = None
-                       ) -> List[Dict[str, object]]:
-    """arm2 single-run ATPG, serial vs fault-parallel PODEM.
-
-    The parallel run must reproduce the serial detected / untestable /
-    aborted fault sets, coverage and vector count exactly — the speedup
-    column is only meaningful because the ``match`` column proves both
-    rows did identical work.
-    """
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1:
-        return []
-    netlist = _bench_netlist("arm2")
-    opts = dict(ARM2_PARALLEL_OPTS, seed=seed)
-    if quick:
-        opts.update(backtrack_limit=20, fault_sample=600,
-                    random_sequences=4)
-    cores = available_cores()
-    runs: Dict[str, Tuple[AtpgEngine, float]] = {}
-    rows: List[Dict[str, object]] = []
-    for mode, n in (("serial", 1), (f"parallel(j={jobs})", jobs)):
-        engine = AtpgEngine(netlist, AtpgOptions(jobs=n, **opts))
-        # Force the fork pool past should_parallelize() for the parallel
-        # leg: the row is a differential proof that the machinery
-        # reproduces serial results bit-for-bit, and it must exercise the
-        # real pool even on hosts (single-core CI boxes) where the engine
-        # would sensibly decline.  The ``cores`` column tells readers when
-        # the speedup number is meaningful (cores >= workers) and when it
-        # merely measures timesharing overhead.
-        forced = {"REPRO_PARALLEL_MIN_CORES": "1",
-                  "REPRO_PARALLEL_MIN_FAULTS": "1",
-                  "REPRO_PARALLEL_MIN_GATES": "1"} if n > 1 else {}
-        saved = {k: os.environ.get(k) for k in forced}
-        os.environ.update(forced)
-        try:
-            with span("bench.atpg_parallel", mode=mode,
-                      design="arm2") as sp:
-                report = engine.run()
-        finally:
-            for k, v in saved.items():
-                if v is None:
-                    os.environ.pop(k, None)
-                else:
-                    os.environ[k] = v
-        # Worker CPU is invisible to the parent CPU clock: compare wall.
-        runs[mode] = (engine, sp.wall_seconds)
-        rows.append({
-            "design": "arm2",
-            "mode": mode,
-            "workers": engine.parallel_workers or 1,
-            "cores": cores,
-            "faults": report.total_faults,
-            "detected": report.detected,
-            "untestable": report.untestable,
-            "cov%": round(report.coverage_percent, 2),
-            "vectors": report.num_vectors,
-            "wall_s": round(sp.wall_seconds, 2),
-        })
-    serial_engine, serial_s = runs["serial"]
-    par_engine, par_s = runs[f"parallel(j={jobs})"]
-    match = (
-        serial_engine.detected_faults == par_engine.detected_faults
-        and serial_engine.untestable_faults == par_engine.untestable_faults
-        and serial_engine.aborted_faults == par_engine.aborted_faults
-        and serial_engine.tests == par_engine.tests
-    )
-    if not match:
-        _LOG.error("atpg.parallel_mismatch",
-                   serial=len(serial_engine.detected_faults),
-                   parallel=len(par_engine.detected_faults))
-    speedup = serial_s / max(par_s, 1e-9)
-    for row in rows:
-        row["match"] = match
-        row["speedup_x"] = (round(speedup, 2)
-                            if row["mode"] != "serial" else 1.0)
-    return rows
-
-
-def atpg_rows(quick: bool = False, seed: int = 2002,
-              jobs: Optional[int] = None) -> List[Dict[str, object]]:
+def atpg_rows(quick: bool = False,
+              seed: int = 2002) -> List[Dict[str, object]]:
     """One small deterministic ATPG run per backend; results must match."""
     netlist = _bench_netlist("arm_alu")
     opts = dict(
@@ -323,10 +226,8 @@ def run_bench(out_dir: str = "benchmarks/results", quick: bool = False,
             "backend",
             lambda: fault_sim_rows(quick=quick, seed=seed)),
         "atpg": (
-            "ATPG backend equivalence (arm_alu) + "
-            "serial-vs-parallel PODEM (arm2)",
-            lambda: atpg_rows(quick=quick, seed=seed)
-            + atpg_parallel_rows(quick=quick, seed=seed, jobs=jobs)),
+            "ATPG backend equivalence (arm_alu)",
+            lambda: atpg_rows(quick=quick, seed=seed)),
         "serve": (
             "Job server: cold/warm/coalesced latency and throughput",
             lambda: serve_rows(quick=quick, seed=seed, jobs=jobs)),
@@ -334,8 +235,8 @@ def run_bench(out_dir: str = "benchmarks/results", quick: bool = False,
     for key in selected:
         title, build = catalogue[key]
         rows = build()
-        # Union of keys across rows (first-seen order): suites may mix row
-        # shapes, e.g. the atpg suite's backend rows and parallel rows.
+        # Union of keys across rows (first-seen order): the rows of one
+        # suite may differ in shape.
         columns = [col for col in dict.fromkeys(
             key for row in rows for key in row) if col != "record"]
         print(format_table(f"{title} [{scale}]", rows, columns=columns))

@@ -41,8 +41,8 @@ Subcommands:
 
 ``analyze`` and ``atpg`` accept ``--lint`` to run the linter as a
 pre-flight gate: error-severity findings abort before extraction starts.
-``atpg`` accepts ``--mut`` repeatedly; with ``--jobs`` the per-MUT runs
-fan out across worker processes.
+``atpg`` accepts ``--mut`` repeatedly; ``--jobs`` fans the per-MUT runs
+out across worker processes, and each run is serial.
 
 Every subcommand also takes the observability flags ``--log-level``,
 ``--trace-out FILE`` (span tree as JSON; ``.jsonl`` / ``.chrome.json``
@@ -71,7 +71,6 @@ from repro.jobs import (
     Terminated,
     install_sigterm_handler,
     resolve_jobs,
-    resolve_jobs_opt,
 )
 from repro.obs import (
     Span,
@@ -152,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="extraction mode (default: compose)",
             )
 
-    def add_atpg_options(p, with_jobs=False):
+    def add_atpg_options(p):
         p.add_argument("--frames", type=int, default=4,
                        help="maximum time frames (default 4)")
         p.add_argument("--backtrack-limit", type=int, default=300)
@@ -176,15 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="SEU faults sampled from the site x value x "
                             "cycle universe (default 256)")
-        if with_jobs:
-            p.add_argument("--jobs", type=int,
-                           help="worker processes: multi-MUT runs fan out "
-                                "whole reports, a single MUT parallelizes "
-                                "PODEM across the fault list with "
-                                "bit-identical results (default: "
-                                "REPRO_JOBS, else serial for one MUT / "
-                                "all cores for many; <= 0 means all "
-                                "cores)")
 
     def add_lint_gate(p):
         p.add_argument("--lint", action=argparse.BooleanOptionalAction,
@@ -205,7 +195,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_atpg = sub.add_parser("atpg", help="generate tests for the MUT(s)")
     add_common(p_atpg, mut_repeatable=True)
     add_lint_gate(p_atpg)
-    add_atpg_options(p_atpg, with_jobs=True)
+    add_atpg_options(p_atpg)
+    p_atpg.add_argument("--jobs", type=int,
+                        help="worker processes for multi-MUT runs, one "
+                             "whole report each; a single MUT always "
+                             "runs serially (default: REPRO_JOBS, else "
+                             "all cores; <= 0 means all cores)")
 
     p_lint = sub.add_parser(
         "lint",
@@ -268,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "time/metric breakdown",
     )
     add_common(p_profile)
-    add_atpg_options(p_profile, with_jobs=True)
+    add_atpg_options(p_profile)
 
     p_stats = sub.add_parser("stats", help="netlist statistics")
     add_common(p_stats, needs_mut=False)
@@ -303,8 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--quick", action="store_true",
                          help="CI-sized workload (arm_alu only, few vectors)")
     p_bench.add_argument("--jobs", type=int,
-                         help="worker processes for the parallel row "
-                              "(default: REPRO_JOBS or all cores)")
+                         help="worker pool size of the serve suite's "
+                              "server (default: REPRO_JOBS or all cores)")
     p_bench.add_argument("--seed", type=int, default=2002)
     p_bench.add_argument("--out", default="benchmarks/results",
                          help="output directory for BENCH_*.json "
@@ -384,11 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--transient-sample", type=_positive_int,
                           metavar="N",
                           help="atpg jobs: SEU fault sample size")
-    p_submit.add_argument("--jobs", type=int,
-                          help="atpg jobs: PODEM workers inside the job "
-                               "(default: serial; 0 means all of the "
-                               "server's cores; results are identical "
-                               "at any value)")
     p_submit.add_argument("--no-piers", action="store_true")
     p_submit.add_argument("--strict", action="store_true",
                           help="lint jobs: warnings fail the job")
@@ -524,22 +514,24 @@ def _factor_for(args) -> Factor:
                              include_dirs=getattr(args, "include", []))
 
 
-def _atpg_options(args) -> AtpgOptions:
-    # Intra-run PODEM parallelism is opt-in (--jobs / REPRO_JOBS); a bare
-    # single-MUT run stays serial.  Results are identical either way.
-    opts = AtpgOptions(
+def _atpg_option_fields(args) -> Dict[str, object]:
+    """``AtpgOptions`` keyword arguments from the shared ATPG flags."""
+    fields = dict(
         max_frames=args.frames,
         backtrack_limit=args.backtrack_limit,
         seed=args.seed,
         fault_sim_backend=getattr(args, "backend", None),
         fault_model=getattr(args, "fault_model", "stuck"),
-        jobs=resolve_jobs_opt(getattr(args, "jobs", None)),
     )
     if getattr(args, "random_length", None) is not None:
-        opts.random_sequence_length = args.random_length
+        fields["random_sequence_length"] = args.random_length
     if getattr(args, "transient_sample", None) is not None:
-        opts.transient_sample = args.transient_sample
-    return opts
+        fields["transient_sample"] = args.transient_sample
+    return fields
+
+
+def _atpg_options(args) -> AtpgOptions:
+    return AtpgOptions(**_atpg_option_fields(args))
 
 
 def _lint_config_from_args(args) -> "LintConfig":
@@ -750,17 +742,7 @@ def _cmd_atpg(args) -> int:
         code = _lint_gate(args, _factor_for(args))
         if code:
             return code
-    opts_fields = dict(
-        max_frames=args.frames,
-        backtrack_limit=args.backtrack_limit,
-        seed=args.seed,
-        fault_sim_backend=getattr(args, "backend", None),
-        fault_model=getattr(args, "fault_model", "stuck"),
-    )
-    if getattr(args, "random_length", None) is not None:
-        opts_fields["random_sequence_length"] = args.random_length
-    if getattr(args, "transient_sample", None) is not None:
-        opts_fields["transient_sample"] = args.transient_sample
+    opts_fields = _atpg_option_fields(args)
     payloads = [(list(args.files), args.top,
                  getattr(args, "mode", "compose"),
                  {k: v for k, v in
@@ -982,7 +964,6 @@ def _cmd_submit(args) -> int:
         "transient_sample": args.transient_sample,
         "use_piers": not args.no_piers,
         "strict": args.strict,
-        "jobs": args.jobs,
         "deadline_s": args.deadline,
     }
     client = ServeClient(args.server)

@@ -1,13 +1,16 @@
 """Shared execution knobs: worker-count resolution and termination signals.
 
-Every parallel surface of the tool — ``repro bench`` table fan-out,
-``repro atpg --jobs``, and the ``repro serve`` worker pool — sizes its
-process pool through one helper so ``--jobs`` flags and the ``REPRO_JOBS``
-environment variable mean the same thing everywhere:
+Every process pool of the tool — the Table 4-6 report drivers, the
+multi-MUT fan-out of ``repro atpg --jobs``, the ``repro serve`` worker
+pool and the serve suite of ``repro bench`` — is sized through one helper,
+so ``--jobs`` flags and the ``REPRO_JOBS`` environment variable mean the
+same thing everywhere:
 
 - an explicit positive ``jobs`` wins,
 - ``jobs`` of ``0`` (or any non-positive value) means "all cores",
 - ``None`` falls back to ``REPRO_JOBS``, then to ``os.cpu_count()``.
+
+Each pool runs whole independent jobs; a single ATPG run is always serial.
 
 The module also owns SIGTERM-to-exception translation for the synchronous
 CLI: long ``repro atpg``/``repro bench`` runs must exit cleanly (status
@@ -32,28 +35,19 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
     Non-positive values (from either the argument or the environment) mean
     "use every core", so ``--jobs 0`` is a portable way to say "as parallel
-    as this machine allows".
+    as this machine allows".  A ``REPRO_JOBS`` that is not an integer
+    raises :class:`ValueError` naming the variable and its value.
     """
     if jobs is None:
         env = os.environ.get("REPRO_JOBS")
-        jobs = int(env) if env else 0
+        try:
+            jobs = int(env) if env else 0
+        except ValueError:
+            raise ValueError(
+                f"REPRO_JOBS must be an integer, got {env!r}") from None
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return max(1, jobs)
-
-
-def resolve_jobs_opt(jobs: Optional[int] = None) -> int:
-    """Worker count for surfaces where "nothing asked" means *serial*.
-
-    :func:`resolve_jobs` defaults to all cores because its call sites
-    (bench fan-out, the serve pool) exist to be parallel.  Intra-run ATPG
-    parallelism is opt-in instead: a bare ``repro atpg`` on one MUT stays
-    serial unless ``--jobs`` or ``REPRO_JOBS`` explicitly asks, at which
-    point the two are interpreted exactly as :func:`resolve_jobs` would.
-    """
-    if jobs is None and not os.environ.get("REPRO_JOBS"):
-        return 1
-    return resolve_jobs(jobs)
 
 
 class Terminated(Exception):

@@ -51,7 +51,6 @@ from repro.obs.trace import (
     new_trace_id,
     parse_traceparent,
     span,
-    span_from_dict,
     wall_clock,
 )
 
@@ -88,6 +87,5 @@ __all__ = [
     "new_trace_id",
     "parse_traceparent",
     "span",
-    "span_from_dict",
     "wall_clock",
 ]

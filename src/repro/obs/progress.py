@@ -67,8 +67,9 @@ class ProgressReporter:
     copy of the underlying channel shares pipe state with the parent, so
     emitting from the child risks interleaved writes or deadlock on an
     inherited lock.  :meth:`emit` therefore drops events from any process
-    other than the creator — fault-parallel ATPG workers go silent
-    instead of corrupting the server's progress stream.
+    other than the creator — a run forked by a process pool (the per-MUT
+    runs of ``repro atpg --jobs``, local campaign trials) goes silent
+    instead of corrupting its parent's progress stream.
     """
 
     def __init__(self, min_interval: float = 0.25):

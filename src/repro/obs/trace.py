@@ -272,54 +272,10 @@ class Span:
             "children": [child.to_dict() for child in self.children],
         }
 
-    def adopt(self, tree: Dict[str, Any]) -> "Span":
-        """Graft a remote ``to_dict`` tree onto this span as a child.
-
-        The receiving half of cross-process span merging: a forked ATPG
-        worker ships its span tree back as a dict, and the coordinator
-        adopts it under the span that dispatched the work.  The adopted
-        subtree is rewritten onto this span's trace identity so the whole
-        run stitches into one trace regardless of what trace id the
-        worker minted.
-        """
-        child = span_from_dict(tree, parent=self)
-        self.children.append(child)
-        return child
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "" if self.finished else " (open)"
         return (f"Span({self.name!r}, wall={self.wall_seconds:.4f}s,"
                 f" children={len(self.children)}{state})")
-
-
-def span_from_dict(tree: Dict[str, Any],
-                   parent: Optional[Span] = None) -> Span:
-    """Reconstruct a :class:`Span` (finished) from a ``to_dict`` tree.
-
-    With ``parent`` given, the rebuilt span is re-parented under it —
-    trace id and parent link come from ``parent``, not the dict — which
-    is what cross-process adoption wants.  Durations round-trip exactly;
-    CPU start/end are synthesized as ``(0, cpu_s)`` since only the delta
-    is exported.  ``start_wall`` stays meaningful across fork because
-    ``perf_counter`` is CLOCK_MONOTONIC, shared by forked children.
-    """
-    node = Span.__new__(Span)
-    node.span_id = tree.get("id") or new_span_id()
-    if parent is not None:
-        node.trace_id = parent.trace_id
-        node.parent_id = parent.span_id
-    else:
-        node.trace_id = tree.get("trace_id") or new_trace_id()
-        node.parent_id = tree.get("parent")
-    node.name = tree.get("name") or "span"
-    node.attrs = dict(tree.get("attrs") or {})
-    node.start_wall = float(tree.get("start_wall") or 0.0)
-    node.end_wall = node.start_wall + float(tree.get("wall_s") or 0.0)
-    node.start_cpu = 0.0
-    node.end_cpu = float(tree.get("cpu_s") or 0.0)
-    node.children = [span_from_dict(child, parent=node)
-                     for child in tree.get("children") or []]
-    return node
 
 
 class Tracer:

@@ -88,12 +88,6 @@ class JobSpec:
     #: explain only: the net/port to trace (``SIGNAL`` or
     #: ``MODULE.SIGNAL``).
     target: Optional[str] = None
-    #: PODEM worker processes *inside* the job (atpg only): ``None`` =
-    #: serial, ``0`` = all the worker's cores, ``N`` = N forked workers.
-    #: Excluded from the fingerprint — parallel results are bit-identical
-    #: to serial, so a --jobs submission coalesces with (and warm-starts
-    #: from) a serial one.
-    jobs: Optional[int] = None
     #: Admission budget in seconds: a job still queued this long after
     #: submission is failed instead of dispatched.  Not part of the
     #: fingerprint — it changes *whether* the job runs, never its result.
@@ -159,9 +153,6 @@ class JobSpec:
                         or value < 1:
                     raise ProtocolError(
                         f"{name!r} must be a positive integer")
-        if self.jobs is not None:
-            if not isinstance(self.jobs, int) or isinstance(self.jobs, bool):
-                raise ProtocolError("'jobs' must be an integer")
         if self.deadline_s is not None:
             if not isinstance(self.deadline_s, (int, float)) \
                     or self.deadline_s <= 0:
@@ -204,11 +195,23 @@ class JobSpec:
     _FIELDS = ("op", "source", "design", "top", "mut", "path", "mode",
                "frames", "backtrack_limit", "seed", "backend",
                "fault_model", "random_length", "transient_sample",
-               "use_piers", "strict", "target", "jobs", "deadline_s",
-               "trace")
+               "use_piers", "strict", "target", "deadline_s", "trace")
 
     def as_dict(self) -> Dict[str, Any]:
         return {name: getattr(self, name) for name in self._FIELDS}
+
+    @classmethod
+    def from_journal(cls, payload: Any) -> "JobSpec":
+        """:meth:`from_dict` for a journaled spec.
+
+        Older releases journaled ``jobs`` (the size of a PODEM fork pool
+        inside the job) with every spec; replay drops it so a job queued
+        before an upgrade still resumes after it.
+        """
+        if isinstance(payload, dict):
+            payload = {name: value for name, value in payload.items()
+                       if name != "jobs"}
+        return cls.from_dict(payload)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "JobSpec":

@@ -251,7 +251,7 @@ class JobServer:
         self._seq = max(self._seq, next_seq)
         for record in survivors:
             try:
-                spec = JobSpec.from_dict(record["spec"]).validate()
+                spec = JobSpec.from_journal(record["spec"]).validate()
             except (ProtocolError, KeyError, TypeError) as exc:
                 _log.warning("journal_bad_spec", id=record.get("id"),
                              error=str(exc))

@@ -166,10 +166,6 @@ def _op_atpg(spec: JobSpec) -> Dict[str, Any]:
         seed=spec.seed,
         fault_sim_backend=spec.backend,
         fault_model=spec.fault_model,
-        # None means "serial"; 0 and N pass straight through to the
-        # engine's intra-run fork pool.  Results are jobs-invariant, so
-        # this costs nothing in coalescing or store hits.
-        jobs=spec.jobs if spec.jobs is not None else 1,
     )
     if spec.random_length is not None:
         opts.random_sequence_length = spec.random_length

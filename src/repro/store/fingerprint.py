@@ -115,10 +115,4 @@ def atpg_options_fingerprint(options, backend: str) -> str:
 
     fields = dataclasses.asdict(options)
     fields["fault_sim_backend"] = backend
-    # Worker count changes how fast the run goes, never what it produces
-    # (the parallel engine commits results in serial order; detected/
-    # untestable sets are bit-identical at any jobs value), so it must
-    # not split the cache key space: a report generated with --jobs 4
-    # warm-starts a serial run and vice versa.
-    fields.pop("jobs", None)
     return fingerprint_obj(fields)

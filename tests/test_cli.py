@@ -79,6 +79,18 @@ class TestAtpg:
         assert exc.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["profile", "submit"])
+    def test_single_run_commands_take_no_jobs(self, command, tmp_path,
+                                              capsys):
+        # One ATPG run is serial; only multi-MUT `repro atpg` has --jobs.
+        design = tmp_path / "d.v"
+        design.write_text("module m(input a, output y); assign y = a; "
+                          "endmodule\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(design), "--mut", "m", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
 
 class TestStatsAndPiers:
     def test_stats_full_design(self, design_file, capsys):

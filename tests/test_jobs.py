@@ -8,6 +8,7 @@ import textwrap
 
 import pytest
 
+from repro.cli import main
 from repro.jobs import (
     SIGTERM_EXIT_CODE,
     Terminated,
@@ -83,7 +84,14 @@ def test_cli_sigterm_exits_143_with_metrics_flushed(tmp_path):
     assert snapshot["test.partial_work"]["value"] == 3
 
 
-def test_resolve_jobs_rejects_garbage_env(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-    with pytest.raises(ValueError):
+def test_resolve_jobs_rejects_garbage_env(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("REPRO_JOBS", "abc")
+    with pytest.raises(ValueError,
+                       match="REPRO_JOBS must be an integer, got 'abc'"):
         resolve_jobs()
+    # The bench resolves its worker count before it starts anything.
+    assert main(["bench", "--quick", "--suite", "serve",
+                 "--out", str(tmp_path)]) == 1
+    assert "error: REPRO_JOBS must be an integer, got 'abc'" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

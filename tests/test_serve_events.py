@@ -425,23 +425,16 @@ endmodule
 """
 
 
-class TestParallelJobStreaming:
-    def _force_parallel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_FAULTS", "1")
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_GATES", "1")
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_CORES", "1")
-
-    def test_parallel_job_streams_increasing_coverage(self, fresh_store,
-                                                      monkeypatch):
-        """A --jobs submission must stream live coverage like a serial
-        one: at least three progress events carrying a monotonically
-        non-decreasing ``coverage`` percentage."""
-        self._force_parallel(monkeypatch)
+class TestJobStreaming:
+    def test_job_streams_increasing_coverage(self, fresh_store):
+        """An ATPG job streams live coverage: at least three progress
+        events carrying a non-decreasing ``coverage`` percentage that
+        ends at the result's coverage."""
         thread, client = start_server(fresh_store)
         try:
             job = client.submit({"op": "atpg", "source": EQCMP,
-                                 "top": "eqtop", "mut": "eqcmp", "frames": 1,
-                                 "jobs": 2})["job"]
+                                 "top": "eqtop", "mut": "eqcmp",
+                                 "frames": 1})["job"]
             done = client.wait(job["id"], timeout=120)
             events = list(client.events(job["id"]))
         finally:
@@ -452,26 +445,6 @@ class TestParallelJobStreaming:
         assert len(coverage) >= 3
         assert coverage == sorted(coverage)
         assert coverage[-1] == round(done["result"]["coverage_percent"], 2)
-
-    def test_jobs_field_excluded_from_fingerprint(self, fresh_store,
-                                                  monkeypatch):
-        """Parallel results are bit-identical to serial, so a jobs=2
-        submission warm-starts a later serial submission from the store
-        (and vice versa)."""
-        self._force_parallel(monkeypatch)
-        thread, client = start_server(fresh_store)
-        try:
-            spec = {"op": "atpg", "source": EQCMP, "top": "eqtop",
-                    "mut": "eqcmp", "frames": 1}
-            first = client.submit(dict(spec, jobs=2))["job"]
-            a = client.wait(first["id"], timeout=120)
-            second = client.submit(spec)["job"]
-            b = client.wait(second["id"], timeout=120)
-        finally:
-            thread.stop()
-        assert a["fingerprint"] == b["fingerprint"]
-        assert b["served_from"] == "store"
-        assert b["result"] == a["result"]
 
 
 class TestGauges:

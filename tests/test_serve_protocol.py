@@ -112,6 +112,16 @@ class TestWireFormat:
         with pytest.raises(ProtocolError, match="unknown request fields"):
             JobSpec.from_dict({"op": "lint", "source": TINY, "prio": 9})
 
+    def test_journal_replay_drops_retired_jobs_field(self):
+        # Older servers journaled ``jobs`` (a PODEM fork-pool size) in
+        # every spec; replay accepts those records, the wire does not.
+        journaled = dict(_spec(op="atpg", mut="t").as_dict(), jobs=2)
+        with pytest.raises(ProtocolError, match="unknown request fields"):
+            JobSpec.from_dict(dict(journaled))
+        spec = JobSpec.from_journal(journaled).validate()
+        assert spec.fingerprint() == _spec(op="atpg", mut="t").fingerprint()
+        assert "jobs" not in spec.as_dict()
+
     def test_rejects_non_object_and_missing_op(self):
         with pytest.raises(ProtocolError, match="JSON object"):
             JobSpec.from_dict(["lint"])

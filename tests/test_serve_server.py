@@ -13,6 +13,7 @@ import pytest
 
 import repro.serve.server as server_mod
 from repro.serve import ServeClient, ServeConfig, ServeError, ServerThread
+from repro.serve.protocol import JobSpec
 
 TINY = """
 module leaf(input a, input b, output y);
@@ -375,6 +376,26 @@ class TestDrainAndResume:
         thread, client = start_server(journal_path=journal)
         try:
             assert client.jobs()["jobs"] == []
+        finally:
+            thread.stop()
+
+    def test_restart_resumes_job_journaled_with_retired_jobs_field(
+            self, fresh_store):
+        """Older servers journaled ``"jobs"`` in every spec; a job they
+        queued still runs to completion after the upgrade."""
+        spec = {"op": "atpg", "source": TINY, "top": "topm", "mut": "leaf",
+                "frames": 1, "backtrack_limit": 10}
+        journaled = dict(JobSpec.from_dict(spec).as_dict(), jobs=2)
+        journal = fresh_store / "journal.jsonl"
+        journal.write_text(json.dumps({
+            "event": "submitted", "id": "job-1-0a1b2c3d",
+            "fingerprint": "0a1b2c3d", "spec": journaled}) + "\n")
+        thread, client = start_server(journal_path=str(journal))
+        try:
+            job = client.wait("job-1-0a1b2c3d", timeout=120)
+            assert job["status"] == "done", job["error"]
+            assert job["served_from"] == "pipeline"
+            assert job["result"]["coverage_percent"] == 100.0
         finally:
             thread.stop()
 
