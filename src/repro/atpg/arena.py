@@ -10,15 +10,13 @@ net ids, the levelized evaluation order baked into the row order, a DFS
 site-rank map for cone packing) — and runs fault simulation directly on it.
 
 The arena is plain picklable data: it is cached in the artifact store (stage
-``arena``) keyed by the netlist fingerprint, and fork/spawn workers can be
-handed the pickled arena instead of re-deriving per-process state from the
-netlist.
+``arena``) keyed by the netlist fingerprint, so a warm process loads it
+instead of re-deriving levels and adjacency from the netlist.
 
-Backend selection: ``backend="arena"`` (default) runs this module;
-``"interpreted"`` walks the gate list (:mod:`repro.atpg.fault_sim`,
-:mod:`repro.atpg.simulator`) and is kept unchanged as the differential
-oracle.  The environment variable ``REPRO_SIM_BACKEND`` overrides the
-default.
+This module is the one optimised simulator.  Its differential oracle is
+the interpreted gate-list code (:mod:`repro.atpg.fault_sim`,
+:mod:`repro.atpg.simulator`), selected only by oracle callers with
+``FaultSimulator(..., backend="interpreted")``.
 
 Simulation model
 ----------------
@@ -39,10 +37,9 @@ to textbook PPSFP).  A call proceeds as:
    masks), gate operations are inlined in levelized order, and the
    results are flushed into a flat list ``V`` (``V[2n]`` = ones,
    ``V[2n+1]`` = zeros of net *n*).  The code is chunked into functions
-   of bounded size so CPython's compiler stays fast;
-   :class:`~repro.atpg.simulator.LogicSimulator` runs the same chunks.
-   The planes OR-ed over all cycles give, per net, the sequences in which
-   it ever carried binary 1 and binary 0.
+   of bounded size so CPython's compiler stays fast.  The planes OR-ed
+   over all cycles give, per net, the sequences in which it ever carried
+   binary 1 and binary 0.
 2. **Refinement filter** — a stuck-at-``v`` fault whose site never carries
    the binary value ``1-v`` in a sequence's good machine is provably
    undetectable by that sequence, so that (fault, sequence) lane is never
@@ -77,10 +74,8 @@ interpreted oracle; ``tests/test_arena.py`` holds the differential suite.
 from __future__ import annotations
 
 import operator
-import os
 from array import array
-from typing import (Dict, Iterator, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.synth.netlist import Gate, GateType, Netlist
@@ -89,26 +84,9 @@ from repro.atpg.faults import AnyFault, TransientFault
 Mask = Tuple[int, int]
 Vector = Mapping[int, int]
 
-BACKENDS = ("arena", "interpreted")
-
 # Gates per generated function: bounds CPython compile time per chunk while
 # keeping the per-call dispatch overhead negligible.
 _CHUNK_GATES = 1500
-
-
-def default_backend() -> str:
-    """Session-wide default backend (``REPRO_SIM_BACKEND`` to override)."""
-    return os.environ.get("REPRO_SIM_BACKEND", "arena")
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    resolved = backend or default_backend()
-    if resolved not in BACKENDS:
-        raise ValueError(
-            f"unknown simulation backend {resolved!r}; expected one of "
-            f"{', '.join(BACKENDS)}"
-        )
-    return resolved
 
 
 # -- code generation ----------------------------------------------------------
@@ -223,33 +201,6 @@ def _codegen_chunks(arena: NetlistArena):
     return _chunks_from_codes(codes)
 
 
-class NetValues(Mapping[int, Mask]):
-    """Read-only mapping view of a flat simulation value list.
-
-    Every net id in ``range(num_nets)`` is a key; undriven nets read as
-    ``(0, 0)`` (X), matching the ``values.get(net, (0, 0))`` convention of
-    the interpreted simulator.
-    """
-
-    __slots__ = ("_values", "_num_nets")
-
-    def __init__(self, values: List[int], num_nets: int):
-        self._values = values
-        self._num_nets = num_nets
-
-    def __getitem__(self, net: int) -> Mask:
-        if not 0 <= net < self._num_nets:
-            raise KeyError(net)
-        i = 2 * net
-        return (self._values[i], self._values[i + 1])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._num_nets))
-
-    def __len__(self) -> int:
-        return self._num_nets
-
-
 # Integer opcodes for the struct-of-arrays gate rows.  DFFs live in their
 # own (dff_q, dff_d) rows, so only combinational types appear here.
 OP_AND, OP_OR, OP_NAND, OP_NOR, OP_XOR, OP_XNOR, OP_NOT, OP_BUF = range(8)
@@ -266,8 +217,7 @@ class NetlistArena:
     """Frozen struct-of-arrays encoding of one netlist.
 
     All rows are ``array('i')`` (or plain ints/strs), so instances pickle
-    compactly and cheaply — workers receive the arena instead of re-deriving
-    topological orders, levels and adjacency from the object graph.
+    compactly and cheaply into the artifact store.
 
     Rows:
 
@@ -443,8 +393,7 @@ class ArenaFaultSim:
     Holds every reusable artifact of repeated simulation against the same
     arena: the good-machine chunk functions and the lane-block kernel's
     rows.  Get instances through :func:`get_arena_sim` so every
-    ``FaultSimulator`` and ``LogicSimulator`` over the same netlist shares
-    them.
+    ``FaultSimulator`` over the same netlist shares them.
     """
 
     def __init__(self, arena: NetlistArena):

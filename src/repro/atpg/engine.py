@@ -18,7 +18,7 @@ from repro.obs.record import RunRecord
 from repro.synth.netlist import Netlist
 from repro.atpg.faults import (Fault, TransientFault, build_fault_list,
                                build_transient_fault_list)
-from repro.atpg.fault_sim import DEFAULT_LANES, FaultSimulator
+from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.podem import Podem, PodemResult
 from repro.atpg.sequential import UnrolledModel
 
@@ -55,9 +55,7 @@ class AtpgOptions:
     # Seeded sample size of the SEU population (sites x values x cycles);
     # None grades the full universe.
     transient_sample: Optional[int] = 256
-    fault_sim_lanes: int = DEFAULT_LANES
-    # None defers to the session default (arena unless REPRO_SIM_BACKEND
-    # says otherwise); set "interpreted" to run against the reference oracle.
+    # None runs the arena; "interpreted" runs against the reference oracle.
     fault_sim_backend: Optional[str] = None
 
     def schedule(self) -> List[int]:
@@ -209,8 +207,7 @@ class AtpgEngine:
         remaining: Set[Fault] = set(faults)
         detected: Set[Fault] = set()
 
-        fsim = FaultSimulator(self.netlist, lanes=opts.fault_sim_lanes,
-                              backend=opts.fault_sim_backend)
+        fsim = FaultSimulator(self.netlist, backend=opts.fault_sim_backend)
         fault_sim_timer = CpuTimer()
         observe = sorted(
             dff.inputs[0]

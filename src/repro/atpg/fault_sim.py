@@ -23,7 +23,7 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Set,
                     Tuple, TypeVar)
 
 from repro.synth.netlist import CONST0, CONST1, GateType, Gate, Netlist
-from repro.atpg.arena import get_arena_sim, resolve_backend
+from repro.atpg.arena import get_arena_sim
 from repro.atpg.faults import AnyFault, TransientFault
 
 Vector = Mapping[int, int]  # PI net -> 0 or 1 (missing = X)
@@ -35,8 +35,8 @@ Injection = Callable[[int, int, int], Tuple[int, int]]
 
 # Default lane width per block: 512 (fault, sequence) pairs in the arena,
 # which has no good lane, or one good machine + 511 faults in the
-# interpreted loop.  Call sites that want a different width take a
-# ``lanes`` parameter rather than hard-coding their own number.
+# interpreted loop.  Only tests pass ``FaultSimulator`` another width, to
+# cut small netlists into many blocks.
 DEFAULT_LANES = 512
 
 
@@ -189,13 +189,14 @@ def _schedule(block: Sequence[AnyFault]
 class FaultSimulator:
     """Grades vector sequences against a fault list, lane-parallel.
 
-    ``backend="arena"`` (default) runs the struct-of-arrays simulation of
-    :mod:`repro.atpg.arena`: one good-machine pass per batch of
-    sequences, a provably exact undetectability filter, and event-driven
-    lane blocks whose lanes each carry one (fault, sequence) pair and
-    which evaluate only the gates a fault effect reaches.  ``backend="interpreted"`` walks the full flat gate
-    list per block of faults (:func:`simulate_lanes`), one sequence at a
-    time with fault dropping — slowest, kept as the reference oracle.
+    The default (``backend=None`` or ``"arena"``) runs the
+    struct-of-arrays simulation of :mod:`repro.atpg.arena`: one
+    good-machine pass per batch of sequences, a provably exact
+    undetectability filter, and event-driven lane blocks whose lanes each
+    carry one (fault, sequence) pair and which evaluate only the gates a
+    fault effect reaches.  ``backend="interpreted"`` selects the reference
+    oracle: it walks the full flat gate list per block of faults
+    (:func:`simulate_lanes`), one sequence at a time with fault dropping.
     Results are bit-identical across both.
     """
 
@@ -205,7 +206,10 @@ class FaultSimulator:
             raise ValueError("need at least two lanes (good + one fault)")
         self.netlist = netlist
         self.lanes = lanes
-        self.backend = resolve_backend(backend)
+        if backend not in (None, "arena", "interpreted"):
+            raise ValueError(f"unknown simulation backend {backend!r}; "
+                             "expected arena or interpreted")
+        self.backend = backend or "arena"
         self._arena_sim = None
         self._flat = []
         if self.backend == "arena":

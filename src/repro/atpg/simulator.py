@@ -5,6 +5,9 @@ patterns is a pair of Python-int masks ``(ones, zeros)`` where bit *i* of
 ``ones`` means pattern *i* sees logic 1 and bit *i* of ``zeros`` logic 0.
 A bit set in neither mask is X.  This single representation serves both
 plain multi-pattern simulation and the parallel-fault simulator built on top.
+
+This gate-list walk is the reference oracle: the arena's generated
+good-machine code (:mod:`repro.atpg.arena`) is tested against it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.synth.netlist import CONST0, CONST1, GateType, Netlist
-from repro.atpg.arena import NetValues, get_arena_sim, resolve_backend
 
 Mask = Tuple[int, int]  # (ones, zeros)
 
@@ -58,27 +60,14 @@ class LogicSimulator:
     State (DFF outputs) starts all-X, matching a real power-on; a reset
     sequence must be applied to initialise it, exactly the situation a
     sequential ATPG tool faces.
-
-    ``backend`` selects the evaluation strategy: ``"arena"`` (default) runs
-    the good-machine code the arena fault simulator generates for the
-    netlist (:mod:`repro.atpg.arena`), ``"interpreted"`` walks the gate
-    list — both produce identical values.
     """
 
-    def __init__(self, netlist: Netlist, width: int = 1,
-                 backend: Optional[str] = None):
+    def __init__(self, netlist: Netlist, width: int = 1):
         self.netlist = netlist
         self.width = width
         self.full = (1 << width) - 1
-        self.backend = resolve_backend(backend)
         self._dffs = netlist.dffs()
-        self._chunks = None
-        if self.backend == "arena":
-            sim = get_arena_sim(netlist)
-            self._chunks = sim.chunks()
-            self._num_nets = sim.arena.num_nets
-        else:
-            self._order = netlist.topological_order()
+        self._order = netlist.topological_order()
         self.reset_state()
 
     def reset_state(self) -> None:
@@ -86,20 +75,20 @@ class LogicSimulator:
         self.state: Dict[int, Mask] = {
             dff.output: (0, 0) for dff in self._dffs
         }
-        self.values: Mapping[int, Mask] = {}
+        self.values: Dict[int, Mask] = {}
 
     def load_state(self, state: Mapping[int, Mask]) -> None:
         self.state = dict(state)
 
-    def step(self, pi_values: Mapping[int, Mask]) -> Mapping[int, Mask]:
+    def step(self, pi_values: Mapping[int, Mask]) -> Dict[int, Mask]:
         """Simulate one clock cycle.
 
         ``pi_values`` maps PI net -> (ones, zeros) masks.  Unlisted PIs are X.
-        Returns the full net-value map for the cycle (also kept in
-        ``self.values``); flip-flop state advances to the new D values.
+        Returns the net-value map for the cycle (also kept in
+        ``self.values``): every constant, PI, flip-flop output and gate
+        output; an undriven net is absent and reads as X.  Flip-flop state
+        advances to the new D values.
         """
-        if self._chunks is not None:
-            return self._step_arena(pi_values)
         full = self.full
         values: Dict[int, Mask] = {CONST0: (0, full), CONST1: (full, 0)}
         for pi in self.netlist.pis:
@@ -112,35 +101,6 @@ class LogicSimulator:
         self.values = values
         self.state = {
             dff.output: values.get(dff.inputs[0], (0, 0))
-            for dff in self._dffs
-        }
-        return values
-
-    def _step_arena(self, pi_values: Mapping[int, Mask]
-                    ) -> Mapping[int, Mask]:
-        full = self.full
-        num_nets = self._num_nets
-        flat = [0] * (2 * num_nets)
-        flat[2 * CONST0 + 1] = full  # const0: zeros mask
-        flat[2 * CONST1] = full  # const1: ones mask
-        for pi in self.netlist.pis:
-            ones, zeros = pi_values.get(pi, (0, 0))
-            i = 2 * pi
-            flat[i] = ones
-            flat[i + 1] = zeros
-        state = self.state
-        for dff in self._dffs:
-            ones, zeros = state.get(dff.output, (0, 0))
-            i = 2 * dff.output
-            flat[i] = ones
-            flat[i + 1] = zeros
-        for chunk in self._chunks:
-            chunk(flat, full)
-        values = NetValues(flat, num_nets)
-        self.values = values
-        self.state = {
-            dff.output: (flat[2 * dff.inputs[0]],
-                         flat[2 * dff.inputs[0] + 1])
             for dff in self._dffs
         }
         return values

@@ -67,12 +67,11 @@ class TestSet:
 
     def measure_coverage(self, netlist: Netlist,
                          region: Optional[str] = None,
-                         extra_observables: Optional[Sequence[int]] = None,
-                         lanes: Optional[int] = None,
-                         backend: Optional[str] = None) -> float:
+                         extra_observables: Optional[Sequence[int]] = None
+                         ) -> float:
         """Fault-simulate every test against ``netlist``; returns coverage %
         over the (region-filtered) collapsed fault list."""
-        from repro.atpg.fault_sim import DEFAULT_LANES, FaultSimulator
+        from repro.atpg.fault_sim import FaultSimulator
         from repro.atpg.faults import build_fault_list
 
         pi_by_name = {netlist.net_name(pi): pi for pi in netlist.pis}
@@ -81,8 +80,7 @@ class TestSet:
         faults = build_fault_list(netlist, region=region)
         if not faults:
             return 100.0
-        fsim = FaultSimulator(netlist, lanes=lanes or DEFAULT_LANES,
-                              backend=backend)
+        fsim = FaultSimulator(netlist)
         remaining = set(faults)
         for test in self.tests:
             if not remaining:

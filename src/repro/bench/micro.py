@@ -207,19 +207,22 @@ def run_bench(out_dir: str = "benchmarks/results", quick: bool = False,
               suites: Optional[Sequence[str]] = None) -> int:
     """Run the selected suites, print tables, write ``BENCH_*.json``.
 
-    Returns 0 when every differential check passed, 1 otherwise.
+    Returns 0 when every differential check passed, 1 otherwise.  Only
+    the serve suite runs a worker pool, so only it resolves ``jobs`` and
+    records it.
     """
     from repro.bench.serve import serve_rows
 
-    jobs = resolve_jobs(jobs)
     scale = "quick" if quick else "full"
-    os.makedirs(out_dir, exist_ok=True)
-    status = 0
     selected = tuple(suites) if suites else DEFAULT_SUITES
     unknown = [name for name in selected if name not in ALL_SUITES]
     if unknown:
         raise ValueError(f"unknown bench suite(s): {', '.join(unknown)} "
                          f"(choose from {', '.join(ALL_SUITES)})")
+    if "serve" in selected:
+        jobs = resolve_jobs(jobs)
+    os.makedirs(out_dir, exist_ok=True)
+    status = 0
     catalogue = {
         "fault_sim": (
             "Fault simulation (stuck-at and SEU): interpreted vs arena "
@@ -242,14 +245,11 @@ def run_bench(out_dir: str = "benchmarks/results", quick: bool = False,
         print(format_table(f"{title} [{scale}]", rows, columns=columns))
         if not all(row["match"] for row in rows):
             status = 1
-        payload = {
-            "title": title,
-            "scale": scale,
-            "seed": seed,
-            "jobs": jobs,
-            "rows": rows,
-            "record": RunRecord.capture(f"bench.{key}").as_dict(),
-        }
+        payload = {"title": title, "scale": scale, "seed": seed}
+        if key == "serve":
+            payload["jobs"] = jobs
+        payload["rows"] = rows
+        payload["record"] = RunRecord.capture(f"bench.{key}").as_dict()
         path = os.path.join(out_dir, f"BENCH_{key}.json")
         atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
         print(f"wrote {path}")

@@ -122,7 +122,7 @@ def serve_rows(quick: bool = False, seed: int = 2002,
     rows: List[Dict[str, object]] = []
     server = None
     try:
-        server = _ServerProcess(work)
+        server = _ServerProcess(work, jobs or 0)
         client = server.client
         rows.append(_cold_row(client, quick, seed))
         rows.append(_warm_row(client, quick, seed))

@@ -1,8 +1,8 @@
 """Fault-injection campaign engine and design-space exploration.
 
 A *campaign* sweeps the ATPG pipeline across a declared factor space —
-backtrack limits, random-phase length, simulation backend, fault model
-(stuck-at vs transient SEU), PIER usage, the MUT set — and fits a
+backtrack limits, random-phase length, fault model (stuck-at vs
+transient SEU), PIER usage, the MUT set — and fits a
 coverage-vs-cost model over the results.  Three layers:
 
 - :mod:`repro.campaign.spec` — the declarative ``CampaignSpec`` (TOML or

@@ -225,9 +225,15 @@ class CampaignRunner:
 
     def _execute_specs(self, specs: List[Dict[str, Any]]
                        ) -> List[Dict[str, Any]]:
-        """Run fresh trials through the serve worker entry point."""
+        """Run fresh trials through the serve worker entry point.
+
+        The trials' pipeline counters land in this process's registry,
+        where ``repro profile`` reads them: in-process trials count there
+        directly, and pool workers' per-trial snapshots are merged back.
+        """
         import os
 
+        from repro.obs import get_registry
         from repro.serve.worker import execute_job
 
         if len(specs) > 1 and self.jobs > 1 and hasattr(os, "fork"):
@@ -238,9 +244,10 @@ class CampaignRunner:
             workers = min(self.jobs, len(specs))
             with ProcessPoolExecutor(max_workers=workers,
                                      mp_context=context) as pool:
-                return list(pool.map(execute_job, specs))
-        # Serial in-process keeps the trial's pipeline counters in this
-        # process's registry, where ``repro profile`` reads them.
+                outcomes = list(pool.map(execute_job, specs))
+            for outcome in outcomes:
+                get_registry().merge_snapshot(outcome["metrics"])
+            return outcomes
         return [execute_job(spec, fresh_registry=False) for spec in specs]
 
     # -- the campaign ------------------------------------------------------

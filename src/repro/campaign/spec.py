@@ -41,7 +41,6 @@ FACTOR_FIELDS = (
     "frames",
     "backtrack_limit",
     "random_length",
-    "backend",
     "fault_model",
     "transient_sample",
     "use_piers",

@@ -158,10 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-piers", action="store_true",
                        help="disable PIER pseudo PI/PO")
         p.add_argument("--seed", type=int, default=2002)
-        p.add_argument("--backend",
-                       choices=["arena", "interpreted"],
-                       help="fault-simulation backend (default: arena, "
-                            "or REPRO_SIM_BACKEND)")
         p.add_argument("--fault-model",
                        choices=["stuck", "transient", "both"],
                        default="stuck",
@@ -367,8 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--frames", type=int, default=4)
     p_submit.add_argument("--backtrack-limit", type=int, default=300)
     p_submit.add_argument("--seed", type=int, default=2002)
-    p_submit.add_argument("--backend",
-                          choices=["arena", "interpreted"])
     p_submit.add_argument("--fault-model",
                           choices=["stuck", "transient", "both"],
                           default="stuck",
@@ -520,7 +514,6 @@ def _atpg_option_fields(args) -> Dict[str, object]:
         max_frames=args.frames,
         backtrack_limit=args.backtrack_limit,
         seed=args.seed,
-        fault_sim_backend=getattr(args, "backend", None),
         fault_model=getattr(args, "fault_model", "stuck"),
     )
     if getattr(args, "random_length", None) is not None:
@@ -958,7 +951,6 @@ def _cmd_submit(args) -> int:
         "frames": args.frames,
         "backtrack_limit": args.backtrack_limit,
         "seed": args.seed,
-        "backend": args.backend,
         "fault_model": args.fault_model,
         "random_length": args.random_length,
         "transient_sample": args.transient_sample,

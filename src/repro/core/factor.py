@@ -158,8 +158,6 @@ class Factor:
         returns the stored report (including the timing fields of the run
         that computed it) without re-running PODEM or fault simulation.
         """
-        from repro.atpg.arena import resolve_backend
-
         opts = options or AtpgOptions()
         opts.fault_region = result.transformed.mut_region
         if result.pier_nets:
@@ -167,8 +165,7 @@ class Factor:
         store = get_store()
         store_key = {
             "netlist": netlist_fingerprint(result.transformed.netlist),
-            "options": atpg_options_fingerprint(
-                opts, resolve_backend(opts.fault_sim_backend)),
+            "options": atpg_options_fingerprint(opts),
         }
         report = store.get("atpg", store_key)
         if report is MISS:

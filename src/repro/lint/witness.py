@@ -18,16 +18,15 @@ This module makes the claim demonstrable:
   even under an all-X stimulus.
 
 Witnesses are plain dicts (JSON-able, store-friendly); the
-:func:`replay_witness` helper re-simulates a vector-pair witness on any
-backend and checks that the claimed blockage is still exhibited — the
-seeded differential test replays every emitted witness on both the
-interpreted and arena simulators.
+:func:`replay_witness` helper re-simulates a vector-pair witness and
+checks that the claimed blockage is still exhibited — the seeded test
+replays every emitted witness.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.atpg.simulator import LogicSimulator
 from repro.lint.rootcause import RootCauseTrace
@@ -77,10 +76,9 @@ def _net_bit(values, net: int) -> Optional[int]:
     return None
 
 
-def _simulate(netlist: Netlist, pi_bits: Dict[str, int], backend: str,
-              cycles: int = 1):
+def _simulate(netlist: Netlist, pi_bits: Dict[str, int], cycles: int = 1):
     """Fresh-state simulation of one vector held for ``cycles`` steps."""
-    sim = LogicSimulator(netlist, width=1, backend=backend)
+    sim = LogicSimulator(netlist, width=1)
     by_name = {netlist.net_name(pi): pi for pi in netlist.pis}
     vec = {}
     for name, bit in pi_bits.items():
@@ -99,7 +97,6 @@ def generate_vector_pair_witness(
     netlist: Netlist, signal: str, direction: str,
     pinned: Optional[Dict[str, int]] = None,
     seed: int = 2002, cycles: int = 1,
-    backend: str = "interpreted",
 ) -> Optional[Dict[str, object]]:
     """Two-vector demonstration that ``signal`` is disconnected.
 
@@ -136,8 +133,8 @@ def generate_vector_pair_witness(
         raise ValueError(f"bad witness direction {direction!r}")
 
     try:
-        values0, observed0 = _simulate(netlist, v0, backend, cycles)
-        _, observed1 = _simulate(netlist, v1, backend, cycles)
+        values0, observed0 = _simulate(netlist, v0, cycles)
+        _, observed1 = _simulate(netlist, v1, cycles)
     except (NetlistError, ValueError, RecursionError):
         return None  # combinational loop etc.: the netlist won't simulate
     obs0 = {name: observed0.get(name) for name in watch}
@@ -166,14 +163,13 @@ def generate_vector_pair_witness(
         "watch": sorted(watch),
         "pinned": pinned_values,
         "verified": verified,
-        "backend": backend,
+        "backend": "interpreted",
         "cycles": max(1, cycles),
         "seed": seed,
     }
 
 
-def replay_witness(netlist: Netlist, witness: Dict[str, object],
-                   backend: str) -> bool:
+def replay_witness(netlist: Netlist, witness: Dict[str, object]) -> bool:
     """Re-simulate a vector-pair witness; True iff the blockage holds.
 
     The claim is exhibited when every watched primary output observes the
@@ -186,7 +182,7 @@ def replay_witness(netlist: Netlist, witness: Dict[str, object],
     cycles = int(witness.get("cycles", 1))
     observations = []
     for vec in vectors:
-        _, observed = _simulate(netlist, dict(vec), backend, cycles)
+        _, observed = _simulate(netlist, dict(vec), cycles)
         observations.append({name: observed.get(name) for name in watch})
     return all(obs == observations[0] for obs in observations[1:])
 
@@ -201,8 +197,7 @@ def implied_assignments(netlist: Netlist,
     assignments a redundancy proof rests on.  ``around`` restricts the
     report to the transitive fan-in of that net.
     """
-    sim = LogicSimulator(netlist, width=1, backend="interpreted")
-    values = sim.step({})
+    values = LogicSimulator(netlist, width=1).step({})
     keep: Optional[set] = None
     if around is not None:
         keep = set()
@@ -284,8 +279,7 @@ def atpg_redundancy_witness(
 
 def witness_for_trace(
     netlist: Netlist, trace: RootCauseTrace, top: str,
-    seed: int = 2002, backend: str = "interpreted",
-    allow_atpg: bool = True,
+    seed: int = 2002, allow_atpg: bool = True,
 ) -> Optional[Dict[str, object]]:
     """Best witness for one root-cause trace, or None.
 
@@ -300,7 +294,7 @@ def witness_for_trace(
     if trace.endpoint_module == top:
         witness = generate_vector_pair_witness(
             netlist, trace.endpoint_signal, direction,
-            pinned=trace.pinned, seed=seed, backend=backend)
+            pinned=trace.pinned, seed=seed)
         if witness is not None:
             return witness
     if allow_atpg:

@@ -74,6 +74,8 @@ class JobSpec:
     frames: int = 4
     backtrack_limit: int = 300
     seed: int = 2002
+    #: atpg only: ``None`` runs the arena; ``"interpreted"`` re-runs the
+    #: job on the reference oracle, for differential checks.
     backend: Optional[str] = None
     #: atpg only: fault populations to target/grade
     #: (``stuck`` | ``transient`` | ``both``); see AtpgOptions.fault_model.
@@ -180,7 +182,7 @@ class JobSpec:
                 "frames": self.frames,
                 "backtrack_limit": self.backtrack_limit,
                 "seed": self.seed,
-                "backend": self.backend,
+                "backend": self.backend or "arena",
                 "fault_model": self.fault_model,
                 "random_length": self.random_length,
                 "transient_sample": self.transient_sample,

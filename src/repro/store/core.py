@@ -38,7 +38,7 @@ import os
 import pickle
 import sys
 import tempfile
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.obs import counter, get_logger
 from repro.store.fingerprint import fingerprint_text, canonical_json
@@ -185,15 +185,6 @@ class ArtifactStore:
         counter(f"store.{stage}.writes").inc()
         counter(f"store.{stage}.bytes_written").inc(len(data))
         return True
-
-    def memo(self, stage: str, key: Dict[str, Any],
-             compute: Callable[[], Any]) -> Any:
-        """``get`` or ``compute``-then-``put`` in one step."""
-        payload = self.get(stage, key)
-        if payload is MISS:
-            payload = compute()
-            self.put(stage, key, payload)
-        return payload
 
     # -- maintenance -------------------------------------------------------
 

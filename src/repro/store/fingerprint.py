@@ -104,15 +104,15 @@ def netlist_fingerprint(netlist) -> str:
     return fp
 
 
-def atpg_options_fingerprint(options, backend: str) -> str:
+def atpg_options_fingerprint(options) -> str:
     """Fingerprint of an :class:`repro.atpg.engine.AtpgOptions`.
 
-    ``backend`` is the *resolved* backend (the ``None`` default defers to
-    the environment, which must not silently alias two different
-    configurations to one key).
+    A ``None`` backend runs the arena, so it keys like ``"arena"``; the
+    interpreted oracle keeps a key of its own, so an oracle run never
+    loads the arena run's stored report.
     """
     import dataclasses
 
     fields = dataclasses.asdict(options)
-    fields["fault_sim_backend"] = backend
+    fields["fault_sim_backend"] = options.fault_sim_backend or "arena"
     return fingerprint_obj(fields)

@@ -23,7 +23,6 @@ from repro.atpg.engine import AtpgEngine, AtpgOptions
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import (Fault, TransientFault, build_fault_list,
                                build_transient_fault_list)
-from repro.atpg.simulator import LogicSimulator
 from repro.core.factor import Factor
 from repro.designs import arm2_source
 from repro.obs import get_registry
@@ -316,12 +315,12 @@ def test_gate_reconstruction_round_trips():
 
 
 def test_one_simulator_per_netlist_shares_the_good_machine():
-    """Every facade over a netlist reuses one ArenaFaultSim, so the logic
-    simulator and the fault simulator run the same chunk functions."""
+    """Every fault simulator over a netlist reuses one ArenaFaultSim, so
+    they all run the same chunk functions."""
     nl = random_netlist(10)
     sim = get_arena_sim(nl)
     assert FaultSimulator(nl, backend="arena")._arena_sim is sim
-    assert LogicSimulator(nl, backend="arena")._chunks is sim.chunks()
+    assert FaultSimulator(nl)._arena_sim is sim
     assert get_arena(nl) is sim.arena
 
 

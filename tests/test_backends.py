@@ -1,51 +1,62 @@
-"""Differential tests for the two simulation backends.
+"""Differential tests for the arena simulator against the interpreted
+oracle.
 
-The arena backend (code-generated good-machine evaluation plus
-event-driven lane-block fault simulation) must be observationally
-identical to the interpreted reference on every netlist: same three-valued
-net values, same detected fault sets, same ATPG results.  These tests drive
-both backends over seeded random netlists and the bundled library designs
-and require exact equality.
+The arena (code-generated good-machine evaluation plus event-driven
+lane-block fault simulation) must be observationally identical to the
+interpreted reference on every netlist: same three-valued net values,
+same detected fault sets, same ATPG results.  These tests drive both over
+seeded random netlists and the bundled library designs and require exact
+equality.  The oracle is selected only by its callers; nothing else
+chooses a simulator.
 """
 
 import pytest
 
-from repro.atpg.arena import (
-    BACKENDS,
-    NetValues,
-    default_backend,
-    get_arena,
-    resolve_backend,
-)
+from repro.atpg.arena import get_arena, get_arena_sim
 from repro.atpg.engine import AtpgEngine, AtpgOptions
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import build_fault_list
 from repro.atpg.simulator import LogicSimulator
+from repro.campaign.spec import CampaignSpec, CampaignSpecError
 from repro.cli import main
 from repro.designs import counter_source, small_designs
 from repro.serve.protocol import JobSpec, ProtocolError
+from repro.store import atpg_options_fingerprint
 from repro.synth.netlist import CONST0, CONST1, GateType, Netlist
 
-from tests.sim_helpers import (netlist_of, random_bit_vectors,
-                               random_mask_vectors, random_netlist)
+from tests.sim_helpers import netlist_of, random_bit_vectors, random_netlist
 
 
-# -- logic simulator ---------------------------------------------------------
+# -- good machine ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_logic_sim_differential(seed):
+    """The arena's generated good-machine code, run on a batch of
+    sequences with X inputs, gives every net in every cycle the value the
+    interpreted logic simulator gives it on each sequence alone, from an
+    all-X and from a preset flip-flop state."""
     nl = random_netlist(seed)
-    width = 6
-    ref = LogicSimulator(nl, width=width, backend="interpreted")
-    cmp_ = LogicSimulator(nl, width=width, backend="arena")
-    for vec in random_mask_vectors(nl, 8, width, seed + 100):
-        v_ref = ref.step(vec)
-        v_cmp = cmp_.step(vec)
-        for net in range(nl.num_nets):
-            assert v_cmp.get(net, (0, 0)) == v_ref.get(net, (0, 0)), \
-                f"net {net} ({nl.net_name(net)})"
-        assert dict(cmp_.state) == dict(ref.state)
+    sequences = [random_bit_vectors(nl, 8, seed * 10 + s, x_rate=0.3)
+                 for s in range(4)]
+    preset = {dff.output: k % 2 for k, dff in enumerate(nl.dffs())}
+    for init in (None, preset):
+        planes, _ever = get_arena_sim(nl)._good_pass(sequences, init)
+        assert len(planes) == 8
+        for s, vectors in enumerate(sequences):
+            ref = LogicSimulator(nl)
+            if init:
+                ref.load_state({q: (1, 0) if bit else (0, 1)
+                                for q, bit in init.items()})
+            for cycle, vec in enumerate(vectors):
+                values = ref.step({pi: (1, 0) if bit else (0, 1)
+                                   for pi, bit in vec.items()})
+                plane = planes[cycle]
+                for net in range(nl.num_nets):
+                    got = ((plane[2 * net] >> s) & 1,
+                           (plane[2 * net + 1] >> s) & 1)
+                    assert got == values.get(net, (0, 0)), \
+                        (init is not None, s, cycle, nl.net_name(net))
 
 
 def test_logic_sim_constants_and_undriven():
@@ -54,11 +65,10 @@ def test_logic_sim_constants_and_undriven():
     floating = nl.new_net("floating")
     g = nl.add_gate(GateType.AND, [a, CONST1, floating])
     nl.add_po(g, "o")
-    sim = LogicSimulator(nl, backend="arena")
-    values = sim.step({a: (1, 0)})
+    values = LogicSimulator(nl).step({a: (1, 0)})
     assert values[CONST0] == (0, 1)
     assert values[CONST1] == (1, 0)
-    assert values[floating] == (0, 0)  # undriven reads X
+    assert floating not in values  # undriven: absent, reads X
     assert values[g] == (0, 0)  # AND with an X input and no 0 input
 
 
@@ -94,7 +104,7 @@ def test_fault_sim_initial_state_and_extra_observables():
 def test_engine_backend_equivalence():
     nl = netlist_of(small_designs()["fsm"])
     reports = {}
-    for backend in BACKENDS:
+    for backend in ("arena", "interpreted"):
         engine = AtpgEngine(nl, AtpgOptions(
             max_frames=2, frame_schedule=(1, 2), backtrack_limit=50,
             random_sequences=2, random_sequence_length=8, seed=11,
@@ -150,56 +160,63 @@ def test_fanout_cone_and_levels():
     assert len(order) == len(nl.topological_order())
 
 
-def test_netvalues_mapping_behavior():
-    nl = Netlist("nv")
-    a = nl.add_pi("a")
-    g = nl.add_gate(GateType.NOT, [a])
-    nl.add_po(g, "o")
-    sim = LogicSimulator(nl, backend="arena")
-    values = sim.step({a: (1, 0)})
-    assert isinstance(values, NetValues)
-    assert len(values) == nl.num_nets
-    assert set(values) == set(range(nl.num_nets))
-    assert values[g] == (0, 1)
-    assert values.get(nl.num_nets + 5) is None
-    with pytest.raises(KeyError):
-        values[nl.num_nets + 5]
+# -- the oracle switch ---------------------------------------------------------
 
 
-# -- backend selection --------------------------------------------------------
-
-
-def test_backend_env_default(monkeypatch):
-    assert BACKENDS == ("arena", "interpreted")
-    monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
-    assert default_backend() == "arena"
-    assert resolve_backend(None) == "arena"
+def test_environment_selects_no_backend(monkeypatch):
+    """Only the caller picks the oracle: the environment has no say."""
+    nl = random_netlist(0)
     monkeypatch.setenv("REPRO_SIM_BACKEND", "interpreted")
-    assert default_backend() == "interpreted"
-    assert resolve_backend(None) == "interpreted"
-    assert resolve_backend("arena") == "arena"
+    assert FaultSimulator(nl).backend == "arena"
+    assert FaultSimulator(nl, backend="interpreted").backend == "interpreted"
+
+
+def _cli_exit_with_backend(tmp_path, name):
+    design = tmp_path / "d.v"
+    design.write_text("module m(input a, output y); assign y = a; "
+                      "endmodule\n")
+    for cmd in ("atpg", "profile", "submit"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, str(design), "--mut", "m", "--backend", name])
+        assert exc.value.code == 2, cmd
 
 
 @pytest.mark.parametrize("name", ["bogus", "compiled"])
 def test_invalid_backend_rejected(name, tmp_path, capsys):
-    with pytest.raises(ValueError):
-        resolve_backend(name)
     nl = Netlist("x")
     nl.add_pi("a")
-    with pytest.raises(ValueError):
-        LogicSimulator(nl, backend=name)
     with pytest.raises(ValueError):
         FaultSimulator(nl, backend=name)
     with pytest.raises(ProtocolError):
         JobSpec(op="atpg", source="module m; endmodule", mut="m",
                 backend=name).validate()
-    design = tmp_path / "d.v"
-    design.write_text("module m(input a, output y); assign y = a; "
-                      "endmodule\n")
-    for cmd in (["atpg", str(design), "--mut", "m"],
-                ["profile", str(design), "--mut", "m"],
-                ["submit", str(design), "--mut", "m"]):
-        with pytest.raises(SystemExit) as exc:
-            main(cmd + ["--backend", name])
-        assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    _cli_exit_with_backend(tmp_path, name)
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_takes_no_backend(tmp_path, capsys):
+    """No command-line flag picks a simulator, not even the default."""
+    _cli_exit_with_backend(tmp_path, "arena")
+    err = capsys.readouterr().err
+    assert err.count("unrecognized arguments: --backend arena") == 3
+
+
+def test_campaign_cannot_sweep_backend():
+    with pytest.raises(CampaignSpecError, match="unknown factor 'backend'"):
+        CampaignSpec.from_dict({
+            "name": "sweep", "design": "arm2", "mut": "arm_alu",
+            "factors": {"backend": ["arena", "interpreted"]}})
+
+
+def test_default_backend_keys_like_the_arena():
+    """``None`` runs the arena, so it shares the arena's store and request
+    keys; the interpreted oracle keeps its own, so an oracle re-run never
+    loads the arena run's stored report."""
+    keys = {name: atpg_options_fingerprint(
+        AtpgOptions(fault_sim_backend=name))
+        for name in (None, "arena", "interpreted")}
+    assert keys[None] == keys["arena"] != keys["interpreted"]
+    specs = {name: JobSpec(op="atpg", source="module m; endmodule",
+                           mut="m", backend=name).validate().fingerprint()
+             for name in (None, "arena", "interpreted")}
+    assert specs[None] == specs["arena"] != specs["interpreted"]

@@ -77,11 +77,20 @@ def test_cli_bench_quick_writes_payloads(tmp_path, capsys):
         payload = json.loads((out / f"BENCH_{key}.json").read_text())
         assert payload["scale"] == "quick"
         assert payload["seed"] == 9
-        assert payload["jobs"] == 1
+        assert "jobs" not in payload  # no pool ran
         assert payload["rows"], key
         assert all(row["match"] for row in payload["rows"])
         assert payload["record"]["label"] == f"bench.{key}"
         assert "metrics" in payload["record"]
+
+
+def test_default_suites_ignore_worker_count(tmp_path, monkeypatch, capsys):
+    """Only the serve suite sizes a pool, so a bad ``REPRO_JOBS`` cannot
+    stop the default fault_sim and atpg suites."""
+    monkeypatch.setenv("REPRO_JOBS", "abc")
+    assert main(["bench", "--quick", "--out", str(tmp_path)]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "BENCH_atpg.json", "BENCH_fault_sim.json"]
 
 
 @pytest.mark.parametrize("suite", ["warm_pipeline", "campaign"])

@@ -416,6 +416,22 @@ class TestRunner:
                    for row in runner.db.rows())
         assert set(evo["best_config"]) == set(spec.factors)
 
+    def test_pool_trials_keep_their_metrics(self, monkeypatch):
+        """Trials run in a worker pool fold their counters back into this
+        process's registry, where in-process trials count directly."""
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")  # both runs execute
+        names = ("fault_sim.calls", "fault_sim.sequences",
+                 "atpg.transient.injections")
+        counts = {}
+        for jobs in (1, 2):
+            get_registry().reset()
+            CampaignRunner(tiny_spec(), local=True, jobs=jobs).run()
+            snap = get_registry().snapshot()
+            counts[jobs] = [snap[name]["value"] if name in snap else 0
+                            for name in names]
+        assert all(counts[1]), counts
+        assert counts[2] == counts[1]
+
     def test_invalid_trial_spec_records_error(self):
         spec = tiny_spec(base={},
                          factors={"frames": [0, -1],

@@ -80,11 +80,12 @@ class TestFingerprints:
     def test_atpg_options_fingerprint_tracks_options(self):
         from repro.atpg.engine import AtpgOptions
 
-        base = atpg_options_fingerprint(AtpgOptions(), "arena")
-        assert base == atpg_options_fingerprint(AtpgOptions(), "arena")
+        base = atpg_options_fingerprint(AtpgOptions())
+        assert base == atpg_options_fingerprint(AtpgOptions())
         assert base != atpg_options_fingerprint(
-            AtpgOptions(backtrack_limit=7), "arena")
-        assert base != atpg_options_fingerprint(AtpgOptions(), "interpreted")
+            AtpgOptions(backtrack_limit=7))
+        assert base != atpg_options_fingerprint(
+            AtpgOptions(fault_sim_backend="interpreted"))
 
     def test_key_fingerprint_separates_stages_and_keys(self, store):
         key = {"design": "d", "module": "m"}

@@ -1,5 +1,5 @@
 """Witness vectors: generation, ATPG redundancy fallback, and the seeded
-differential replay of every witness on both simulator backends."""
+replay of every witness on the interpreted simulator."""
 
 import os
 
@@ -114,8 +114,7 @@ endmodule
 
 
 class TestSeededDifferentialReplay:
-    """Every emitted witness replays identically on the interpreted and
-    the arena simulator."""
+    """Every emitted witness replays on the interpreted simulator."""
 
     def _witnesses(self):
         with open(CONN_DEMO, "r", encoding="utf-8") as handle:
@@ -132,8 +131,8 @@ class TestSeededDifferentialReplay:
         netlist, pairs = self._witnesses()
         assert pairs  # conn_demo must yield vector-pair witnesses
         for witness in pairs:
-            assert replay_witness(netlist, witness, "interpreted")
-            assert replay_witness(netlist, witness, "arena")
+            assert witness["backend"] == "interpreted"
+            assert replay_witness(netlist, witness)
 
     def test_witnesses_are_seed_deterministic(self):
         _, first = self._witnesses()
@@ -143,8 +142,7 @@ class TestSeededDifferentialReplay:
     def test_replay_rejects_atpg_witness(self):
         _, netlist = netlist_for(DEAD_INPUT)
         with pytest.raises(ValueError, match="vector_pair"):
-            replay_witness(netlist, {"kind": "atpg_redundant"},
-                           "interpreted")
+            replay_witness(netlist, {"kind": "atpg_redundant"})
 
 
 class TestWitnessForTrace:
