@@ -134,7 +134,3 @@ def v_not(a: int) -> int:
 def is_d_value(value: int) -> bool:
     """True for D or D' — a fault effect."""
     return value == VD or value == VDBAR
-
-
-def invert_polarity(value: int) -> int:
-    return v_not(value)

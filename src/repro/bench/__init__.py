@@ -11,9 +11,8 @@ from repro.bench.experiments import (
     bench_scale,
     default_atpg_options,
     get_experiments,
-    resolve_jobs,
 )
 from repro.bench.micro import run_bench
 
 __all__ = ["Arm2Experiments", "bench_scale", "default_atpg_options",
-           "get_experiments", "resolve_jobs", "run_bench"]
+           "get_experiments", "run_bench"]

@@ -13,21 +13,18 @@ Environment knobs:
 - ``REPRO_JOBS``              — worker-process count for the Table 4-6 ATPG
   fan-out (default: ``os.cpu_count()``; ``1`` forces serial).
 
-The per-MUT ATPG reports are independent and seeded, so computing them in a
-:class:`~concurrent.futures.ProcessPoolExecutor` returns bit-identical rows
-to a serial run; worker metrics snapshots are merged back into the parent
-registry so benchmark ``RunRecord`` payloads stay complete.
+The per-MUT ATPG reports are independent and seeded, so fanning them out
+with :func:`repro.jobs.map_runs` returns bit-identical rows to a serial
+run; the workers' metrics are merged back into the parent registry so
+benchmark ``RunRecord`` payloads stay complete.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.atpg.engine import AtpgEngine, AtpgOptions, AtpgReport
-from repro.obs import get_registry
 from repro.core.composer import ConstraintComposer
 from repro.core.extractor import ExtractionMode, MutSpec
 from repro.core.piers import find_piers, pier_q_nets
@@ -35,7 +32,7 @@ from repro.core.testability import analyze_testability
 from repro.core.transform import TransformedModule
 from repro.designs.arm2 import ARM2_MUTS, MutInfo, arm2_design
 from repro.hierarchy.design import Design
-from repro.jobs import resolve_jobs
+from repro.jobs import map_runs
 from repro.store import synthesize_cached
 from repro.synth.stats import netlist_stats
 
@@ -69,24 +66,6 @@ def default_atpg_options(**overrides) -> AtpgOptions:
     )
     base.update(overrides)
     return AtpgOptions(**base)
-
-
-
-
-def _report_job(key: Tuple) -> Tuple[Tuple, AtpgReport,
-                                     Dict[str, Dict[str, object]]]:
-    """Worker entry point: compute one ATPG report in a pool process.
-
-    With the default fork start method the worker inherits the parent's
-    warm ``_SHARED`` experiments instance; under spawn it rebuilds one (the
-    reports are seeded, so results are identical either way).  The metrics
-    registry is reset first so the returned snapshot is exactly this job's
-    delta for the parent to merge.
-    """
-    registry = get_registry()
-    registry.reset()
-    report = get_experiments().compute_report(key)
-    return key, report, registry.snapshot()
 
 
 def processor_level_fault_sample() -> int:
@@ -192,35 +171,13 @@ class Arm2Experiments:
                                            use_piers=key[3])
         raise KeyError(f"unknown report key {key!r}")
 
-    def prefetch_reports(self, keys: Sequence[Tuple],
-                         jobs: Optional[int] = None) -> None:
+    def prefetch_reports(self, keys: Sequence[Tuple]) -> None:
         """Fill the ATPG report cache, fanning the misses out over worker
-        processes (``jobs`` -> ``REPRO_JOBS`` -> ``os.cpu_count()``)."""
+        processes (``REPRO_JOBS``, else all cores)."""
         missing = [k for k in keys if k not in self._atpg_cache]
-        if not missing:
-            return
-        jobs = min(resolve_jobs(jobs), len(missing))
-        if jobs <= 1:
-            for key in missing:
-                self.compute_report(key)
-            return
-        # Fork-based workers inherit this exact instance via _SHARED, so
-        # they skip the expensive design/composer construction.
-        global _SHARED
-        previous = _SHARED
-        _SHARED = self
-        try:
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            with ProcessPoolExecutor(max_workers=jobs,
-                                     mp_context=context) as pool:
-                for key, report, metrics in pool.map(_report_job, missing):
-                    self._atpg_cache[key] = report
-                    get_registry().merge_snapshot(metrics)
-        finally:
-            _SHARED = previous
+        for key, report in zip(missing,
+                               map_runs(self.compute_report, missing)):
+            self._atpg_cache[key] = report
 
     # -- Table 4: raw test generation ------------------------------------------
 
@@ -243,13 +200,10 @@ class Arm2Experiments:
             ).run()
         return self._atpg_cache[key]
 
-    def table4_rows(self, jobs: Optional[int] = None
-                    ) -> List[Dict[str, object]]:
+    def table4_rows(self) -> List[Dict[str, object]]:
         self.prefetch_reports(
             [("proc", m.name) for m in self.muts()]
-            + [("standalone", m.name) for m in self.muts()],
-            jobs=jobs,
-        )
+            + [("standalone", m.name) for m in self.muts()])
         rows = []
         for mut in self.muts():
             proc = self.processor_level_report(mut)
@@ -282,12 +236,9 @@ class Arm2Experiments:
             self._atpg_cache[key] = AtpgEngine(tr.netlist, opts).run()
         return self._atpg_cache[key]
 
-    def atpg_rows(self, mode: ExtractionMode,
-                  jobs: Optional[int] = None) -> List[Dict[str, object]]:
+    def atpg_rows(self, mode: ExtractionMode) -> List[Dict[str, object]]:
         self.prefetch_reports(
-            [("transformed", m.name, mode.value, True) for m in self.muts()],
-            jobs=jobs,
-        )
+            [("transformed", m.name, mode.value, True) for m in self.muts()])
         rows = []
         for mut in self.muts():
             tr = self.transformed(mut, mode)

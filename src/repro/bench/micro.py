@@ -31,17 +31,16 @@ from repro.atpg.engine import AtpgEngine, AtpgOptions, AtpgReport
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import (AnyFault, Fault, build_fault_list,
                                build_transient_fault_list)
-from repro.bench.experiments import resolve_jobs
 from repro.core.report import format_table
 from repro.designs.arm2 import arm2_design
+from repro.jobs import resolve_jobs
 from repro.obs import RunRecord, atomic_write_text, get_logger, span
 from repro.store import synthesize_cached
 from repro.synth.netlist import Netlist
 
 _LOG = get_logger("bench.micro")
 
-# Benchmark netlists, built once per process (the pool workers re-use the
-# warm cache under the default fork start method).
+# Benchmark netlists, built once per process.
 _NETLISTS: Dict[str, Netlist] = {}
 _FAULTS: Dict[str, List[Fault]] = {}
 

@@ -10,9 +10,10 @@ server subprocess with a fresh artifact store:
   flight: all clients share one pipeline execution,
 - **throughput** — sustained distinct-job traffic from concurrent
   clients, in jobs/second,
-- **progress_overhead** — ATPG engine CPU seconds with the live progress
-  reporter installed vs not (in-process, store disabled); guards the
-  promise that observability costs under 2%.
+- **progress_overhead** — the CPU seconds an installed live progress
+  reporter spends in its own ``emit`` calls during ATPG runs
+  (in-process, store disabled); guards the promise that observability
+  costs under 2%.
 
 Every row records a ``match`` verdict (the run's correctness condition —
 e.g. warm rows must actually be store-served) and carries its own
@@ -28,9 +29,10 @@ import subprocess
 import sys
 import tempfile
 import threading
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs import RunRecord, get_logger, span
+from repro.obs import CallbackProgressReporter, CpuTimer, RunRecord, \
+    get_logger, reporting, span
 from repro.serve.client import ServeClient
 
 _LOG = get_logger("bench.serve")
@@ -213,20 +215,65 @@ def _coalesced_row(client: ServeClient, quick: bool,
                 served=f"executions={int(executions)}", match=match)
 
 
-def _progress_overhead_row(quick: bool, seed: int) -> Dict[str, object]:
-    """ATPG engine CPU seconds: progress reporter installed vs not.
+class _TimedReporter(CallbackProgressReporter):
+    """A callback reporter that pools the CPU seconds of its own emits."""
 
-    Runs in-process (no server) with the artifact store disabled so both
-    configurations execute the full engine loop; best-of-N CPU seconds
-    per configuration to shrug off scheduler noise.  ``match`` holds the
-    <2% overhead promise from docs/observability.md — and requires the
-    reporter to have actually fired, so a silently-disconnected hook
-    can't pass as zero-cost.
+    def __init__(self, callback: Callable[[Dict[str, Any]], None]):
+        super().__init__(callback)
+        self.timer = CpuTimer()
+
+    def emit(self, phase: str, force: bool = False, **fields: Any) -> None:
+        with self.timer:
+            super().emit(phase, force=force, **fields)
+
+
+def progress_overhead(run: Callable[[], Any], repeats: int,
+                      callback: Callable[[Dict[str, Any]], None]
+                      ) -> Tuple[bool, str]:
+    """Gate the live progress reporter's cost on ``run``, an ATPG run.
+
+    Returns ``(match, text)``.  ``match`` holds the <2% promise from
+    docs/observability.md: the reporter's own CPU seconds, summed around
+    every ``emit``, stay under 2% of the reported runs' CPU seconds.  It
+    also requires delivered events, so a silently disconnected hook
+    cannot pass as zero-cost, and the same PODEM effort with and without
+    the reporter.  Timing the reporter itself keeps load that lands
+    between two separately timed blocks of runs out of the verdict; the
+    best-of-``repeats`` CPU seconds without and with it are kept as text.
+    """
+    def timed(reporter: Optional[_TimedReporter]) -> Tuple[float, tuple]:
+        timer = CpuTimer()
+        with timer:
+            if reporter is None:
+                report = run()
+            else:
+                with reporting(reporter):
+                    report = run()
+        return timer.elapsed, (report.implications, report.backtracks)
+
+    plain = [timed(None) for _ in range(repeats)]
+    reporters = [_TimedReporter(callback) for _ in range(repeats)]
+    reported = [timed(reporter) for reporter in reporters]
+    emit_s = sum(reporter.timer.elapsed for reporter in reporters)
+    share_pct = 100.0 * emit_s / max(sum(cpu for cpu, _ in reported), 1e-9)
+    match = (share_pct < 2.0
+             and sum(reporter.seq for reporter in reporters) > 0
+             and len({effort for _cpu, effort in plain + reported}) == 1)
+    text = (f"cpu {min(cpu for cpu, _ in plain):.3f}s -> "
+            f"{min(cpu for cpu, _ in reported):.3f}s, reporter "
+            f"{emit_s / repeats * 1000.0:.1f} ms/run ({share_pct:.2f}%)")
+    return match, text
+
+
+def _progress_overhead_row(quick: bool, seed: int) -> Dict[str, object]:
+    """:func:`progress_overhead` on an in-process arm2/arm_alu ATPG run.
+
+    Runs without a server and with the artifact store disabled, so every
+    run executes the full engine loop.
     """
     from repro.atpg.engine import AtpgOptions
     from repro.core.factor import Factor
     from repro.designs import arm2_source
-    from repro.obs import CallbackProgressReporter, CpuTimer, reporting
 
     frames, backtracks = (1, 10) if quick else (2, 50)
     repeats = 3 if quick else 5
@@ -238,34 +285,18 @@ def _progress_overhead_row(quick: bool, seed: int) -> Dict[str, object]:
         analyzed = factor.analyze("arm_alu")
         options = AtpgOptions(max_frames=frames,
                               backtrack_limit=backtracks, seed=seed)
-
-        def timed(reporter) -> float:
-            timer = CpuTimer()
-            with timer:
-                if reporter is None:
-                    factor.generate_tests(analyzed, options)
-                else:
-                    with reporting(reporter):
-                        factor.generate_tests(analyzed, options)
-            return timer.elapsed
-
         with span("bench.serve", mode="progress_overhead",
                   repeats=repeats) as sp:
-            baseline = min(timed(None) for _ in range(repeats))
-            reported = min(
-                timed(CallbackProgressReporter(events.append))
-                for _ in range(repeats))
+            match, text = progress_overhead(
+                lambda: factor.generate_tests(analyzed, options), repeats,
+                events.append)
     finally:
         if saved_no_cache is None:
             os.environ.pop("REPRO_NO_CACHE", None)
         else:
             os.environ["REPRO_NO_CACHE"] = saved_no_cache
-    overhead_pct = 100.0 * (reported - baseline) / max(baseline, 1e-9)
     return _row("progress_overhead", n=repeats,
-                wall_s=round(sp.wall_seconds, 3),
-                served=f"cpu {baseline:.3f}s -> {reported:.3f}s "
-                       f"({overhead_pct:+.2f}%)",
-                match=overhead_pct < 2.0 and bool(events))
+                wall_s=round(sp.wall_seconds, 3), served=text, match=match)
 
 
 def _throughput_row(client: ServeClient, quick: bool,

@@ -8,7 +8,7 @@ execution server-side, or warm-serve from the store).  Without a server
 the local fallback executes through the same worker entry point the
 server uses, deduplicating by request fingerprint in-run and memoizing
 finished trials in the artifact store (stage ``campaign``), optionally
-across a fork pool.
+fanned out over forked workers by :func:`repro.jobs.map_runs`.
 
 Every obtained trial — fresh, coalesced or warm — appends one row to
 the campaign's append-only :class:`~repro.campaign.db.TrialDB`, which
@@ -24,6 +24,7 @@ from repro.campaign.design import build_design
 from repro.campaign.evolve import EvolutionaryDSE
 from repro.campaign.model import fit_report, trial_fitness
 from repro.campaign.spec import CampaignSpec
+from repro.jobs import map_runs
 
 #: served_from values that did not cost a fresh pipeline execution.
 _DEDUPED = ("coalesced", "store", "cache")
@@ -225,30 +226,15 @@ class CampaignRunner:
 
     def _execute_specs(self, specs: List[Dict[str, Any]]
                        ) -> List[Dict[str, Any]]:
-        """Run fresh trials through the serve worker entry point.
-
-        The trials' pipeline counters land in this process's registry,
-        where ``repro profile`` reads them: in-process trials count there
-        directly, and pool workers' per-trial snapshots are merged back.
-        """
-        import os
-
-        from repro.obs import get_registry
+        """Run fresh trials through the serve worker entry point, over
+        :func:`~repro.jobs.map_runs` (``self.jobs`` workers); every
+        trial's pipeline counters land in this process's registry, where
+        ``repro profile`` reads them."""
+        # Imported per call: traced perfbench runs wrap this attribute.
         from repro.serve.worker import execute_job
 
-        if len(specs) > 1 and self.jobs > 1 and hasattr(os, "fork"):
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            context = multiprocessing.get_context("fork")
-            workers = min(self.jobs, len(specs))
-            with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=context) as pool:
-                outcomes = list(pool.map(execute_job, specs))
-            for outcome in outcomes:
-                get_registry().merge_snapshot(outcome["metrics"])
-            return outcomes
-        return [execute_job(spec, fresh_registry=False) for spec in specs]
+        return map_runs(lambda spec: execute_job(spec, fresh_registry=False),
+                        specs, self.jobs)
 
     # -- the campaign ------------------------------------------------------
 

@@ -70,6 +70,7 @@ from repro.jobs import (
     SIGTERM_EXIT_CODE,
     Terminated,
     install_sigterm_handler,
+    map_runs,
     resolve_jobs,
 )
 from repro.obs import (
@@ -466,7 +467,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "spec names a server")
     p_camp_run.add_argument("--jobs", type=int, default=1,
                             help="local mode: trial worker processes "
-                                 "(default 1 = in-process)")
+                                 "(default 1 = in-process; <= 0 means all "
+                                 "cores)")
     p_camp_run.add_argument("--timeout", type=float, default=600.0,
                             help="per-trial wall-clock budget in seconds "
                                  "(default 600)")
@@ -508,23 +510,19 @@ def _factor_for(args) -> Factor:
                              include_dirs=getattr(args, "include", []))
 
 
-def _atpg_option_fields(args) -> Dict[str, object]:
-    """``AtpgOptions`` keyword arguments from the shared ATPG flags."""
-    fields = dict(
+def _atpg_options(args) -> AtpgOptions:
+    """``AtpgOptions`` from the shared ATPG flags."""
+    opts = AtpgOptions(
         max_frames=args.frames,
         backtrack_limit=args.backtrack_limit,
         seed=args.seed,
         fault_model=getattr(args, "fault_model", "stuck"),
     )
     if getattr(args, "random_length", None) is not None:
-        fields["random_sequence_length"] = args.random_length
+        opts.random_sequence_length = args.random_length
     if getattr(args, "transient_sample", None) is not None:
-        fields["transient_sample"] = args.transient_sample
-    return fields
-
-
-def _atpg_options(args) -> AtpgOptions:
-    return AtpgOptions(**_atpg_option_fields(args))
+        opts.transient_sample = args.transient_sample
+    return opts
 
 
 def _lint_config_from_args(args) -> "LintConfig":
@@ -685,27 +683,6 @@ def _cmd_testability(args) -> int:
     return 0
 
 
-def _run_one_mut(payload):
-    """Full pipeline + ATPG for one MUT (serial and pool paths share it)."""
-    files, top, mode, defines, includes, use_piers, opts_fields, mut = \
-        payload
-    factor = Factor.from_files(
-        files, top=top,
-        mode=(ExtractionMode.CONVENTIONAL if mode == "conventional"
-              else ExtractionMode.COMPOSE),
-        defines=defines or None, include_dirs=includes)
-    result = factor.analyze(mut, use_piers=use_piers)
-    return factor.generate_tests(result, AtpgOptions(**opts_fields))
-
-
-def _atpg_mut_job(payload) -> tuple:
-    """Pool worker: resets the per-process registry so the returned
-    snapshot is a mergeable delta."""
-    get_registry().reset()
-    report = _run_one_mut(payload)
-    return payload[-1], report, get_registry().snapshot()
-
-
 def _cmd_atpg(args) -> int:
     muts = args.mut if isinstance(args.mut, list) else [args.mut]
     if len(muts) != len(set(muts)):
@@ -713,61 +690,30 @@ def _cmd_atpg(args) -> int:
     if len(muts) > 1 and args.path:
         raise ValueError("--path only applies to a single --mut; paths "
                          "are inferred for multi-MUT runs")
-    if len(muts) == 1:
-        factor = _factor_for(args)
-        if getattr(args, "lint", False):
-            code = _lint_gate(args, factor)
-            if code:
-                return code
-        result = factor.analyze(muts[0], path=args.path,
-                                use_piers=not args.no_piers)
-        report = factor.generate_tests(result, _atpg_options(args))
-        print(format_table(
-            f"ATPG report for {muts[0]}",
-            [report.as_row()],
-        ))
-        print(f"detected {report.detected}, "
-              f"untestable {report.untestable}, "
-              f"aborted {report.aborted} of {report.total_faults} faults")
-        return 0
-
     if getattr(args, "lint", False):
         code = _lint_gate(args, _factor_for(args))
         if code:
             return code
-    opts_fields = _atpg_option_fields(args)
-    payloads = [(list(args.files), args.top,
-                 getattr(args, "mode", "compose"),
-                 {k: v for k, v in
-                  (item.partition("=")[::2] for item in args.define)},
-                 list(args.include), not args.no_piers, opts_fields, mut)
-                for mut in muts]
-    jobs = min(resolve_jobs(getattr(args, "jobs", None)), len(muts))
-    rows = []
-    totals = {"detected": 0, "faults": 0}
-    if jobs <= 1:
-        reports = [_run_one_mut(payload) for payload in payloads]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        parent = get_registry()
-        reports = []
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 mp_context=context) as pool:
-            for _mut, report, metrics in pool.map(_atpg_mut_job, payloads):
-                parent.merge_snapshot(metrics)
-                reports.append(report)
-    for report in reports:
-        totals["detected"] += report.detected
-        totals["faults"] += report.total_faults
-        rows.append(report.as_row())
-    print(format_table(
-        f"ATPG reports for {len(muts)} MUTs (jobs={jobs})", rows))
-    print(f"detected {totals['detected']} of {totals['faults']} faults "
+    def run(mut):
+        factor = _factor_for(args)
+        result = factor.analyze(mut, path=args.path,
+                                use_piers=not args.no_piers)
+        return factor.generate_tests(result, _atpg_options(args))
+
+    reports = map_runs(run, muts, args.jobs)
+    if len(muts) == 1:
+        report = reports[0]
+        print(format_table(f"ATPG report for {muts[0]}", [report.as_row()]))
+        print(f"detected {report.detected}, "
+              f"untestable {report.untestable}, "
+              f"aborted {report.aborted} of {report.total_faults} faults")
+        return 0
+    jobs = min(resolve_jobs(args.jobs), len(muts))
+    print(format_table(f"ATPG reports for {len(muts)} MUTs (jobs={jobs})",
+                       [report.as_row() for report in reports]))
+    print(f"detected {sum(r.detected for r in reports)} of "
+          f"{sum(r.total_faults for r in reports)} faults "
           f"across {len(muts)} MUTs")
     return 0
 

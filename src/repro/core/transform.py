@@ -48,9 +48,6 @@ class TransformedModule:
     synthesis_seconds: float
     extraction_seconds: float
 
-    def region_fault_filter(self) -> str:
-        return self.mut_region
-
 
 def build_transformed_module(
     design: Design,

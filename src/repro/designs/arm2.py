@@ -1412,10 +1412,3 @@ def arm2_source() -> str:
 def arm2_design() -> Design:
     """Parse the benchmark into a :class:`~repro.hierarchy.Design`."""
     return Design(parse_verilog_cached(_ARM2_VERILOG), top="arm")
-
-
-def mut_by_name(name: str) -> MutInfo:
-    for mut in ARM2_MUTS:
-        if mut.name == name:
-            return mut
-    raise KeyError(f"unknown MUT {name!r}")

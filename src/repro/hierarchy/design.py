@@ -117,9 +117,6 @@ class Design:
         except KeyError:
             raise DesignError(f"no module named {name!r}") from None
 
-    def has_module(self, name: str) -> bool:
-        return name in self._modules
-
     def module_names(self) -> List[str]:
         return list(self._modules)
 

@@ -1,16 +1,18 @@
-"""Shared execution knobs: worker-count resolution and termination signals.
+"""Shared execution knobs: whole-run fan-out, worker counts and SIGTERM.
 
-Every process pool of the tool — the Table 4-6 report drivers, the
-multi-MUT fan-out of ``repro atpg --jobs``, the ``repro serve`` worker
-pool and the serve suite of ``repro bench`` — is sized through one helper,
-so ``--jobs`` flags and the ``REPRO_JOBS`` environment variable mean the
-same thing everywhere:
+Every process pool of the tool is sized through :func:`resolve_jobs`, so
+``--jobs`` flags and the ``REPRO_JOBS`` environment variable mean the same
+thing everywhere:
 
 - an explicit positive ``jobs`` wins,
 - ``jobs`` of ``0`` (or any non-positive value) means "all cores",
 - ``None`` falls back to ``REPRO_JOBS``, then to ``os.cpu_count()``.
 
-Each pool runs whole independent jobs; a single ATPG run is always serial.
+Parallelism stops at the run boundary: a single ATPG run is always
+serial, and whole independent runs fan out through :func:`map_runs` —
+the per-MUT runs of ``repro atpg --mut A --mut B``, the Table 4-6 report
+drivers and local campaign trials.  The ``repro serve`` worker pool is
+the only other pool; it is long-lived and streams progress.
 
 The module also owns SIGTERM-to-exception translation for the synchronous
 CLI: long ``repro atpg``/``repro bench`` runs must exit cleanly (status
@@ -24,7 +26,9 @@ from __future__ import annotations
 import os
 import signal
 import threading
-from typing import Optional
+from typing import Any, Callable, List, Optional, Sequence, Tuple
+
+from repro.obs import get_registry
 
 #: Conventional exit status for "terminated by SIGTERM" (128 + 15).
 SIGTERM_EXIT_CODE = 143
@@ -48,6 +52,56 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return max(1, jobs)
+
+
+#: ``(fn, items)`` of the :func:`map_runs` call whose pool is running.
+#: Forked workers read the work from here, so it is never pickled.
+_WORK: Optional[Tuple[Callable[[Any], Any], Sequence[Any]]] = None
+
+
+def _run_one(index: int) -> Tuple[Any, dict]:
+    """Pool worker: one item's result and the metrics it recorded."""
+    registry = get_registry()
+    registry.reset()
+    fn, items = _WORK
+    return fn(items[index]), registry.snapshot()
+
+
+def map_runs(fn: Callable[[Any], Any], items: Sequence[Any],
+             jobs: Optional[int] = None) -> List[Any]:
+    """``[fn(x) for x in items]``, fanned out over forked workers.
+
+    The pool has ``min(resolve_jobs(jobs), len(items))`` workers.  With at
+    most one item or one worker, or without ``os.fork``, the items run in
+    this process instead; a single item never consults ``REPRO_JOBS``.
+    Workers inherit ``fn`` and the items through fork, so closures and
+    bound methods work; only indices go out, and each result comes back
+    with the metrics its run recorded, merged into this process's registry
+    in item order.  A worker's exception propagates.  Fork copies only the
+    calling thread, so call this from a process that runs no other thread.
+    """
+    global _WORK
+    items = list(items)
+    if len(items) <= 1:
+        return [fn(item) for item in items]
+    workers = min(resolve_jobs(jobs), len(items))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    previous, _WORK = _WORK, (fn, items)
+    try:
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            pairs = list(pool.map(_run_one, range(len(items))))
+    finally:
+        _WORK = previous
+    registry = get_registry()
+    for _result, snapshot in pairs:
+        registry.merge_snapshot(snapshot)
+    return [result for result, _snapshot in pairs]
 
 
 class Terminated(Exception):

@@ -19,7 +19,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -97,10 +96,6 @@ class Diagnostic:
     #: Witness demonstrating the blockage (see :mod:`repro.lint.witness`):
     #: a simulator-verified vector pair or an ATPG redundancy proof.
     witness: Optional[Dict[str, object]] = None
-
-    @property
-    def is_error(self) -> bool:
-        return self.severity == "error"
 
     def location(self) -> str:
         parts = []
@@ -351,11 +346,6 @@ class LintContext:
                 self._netlist = None
         return self._netlist
 
-    @property
-    def netlist_built(self) -> bool:
-        """Whether :meth:`netlist` has been forced yet (category gating)."""
-        return self._netlist_built
-
     def rootcause(self):
         """Shared :class:`repro.lint.rootcause.RootCauseAnalyzer`.
 
@@ -548,8 +538,3 @@ def run_lint(design: Design, config: Optional[LintConfig] = None,
         counter(f"lint.rule.{rule_id}").inc(n)
     _log.info("lint_done", findings=len(kept), **counts)
     return result
-
-
-def iter_module_names(ctx: LintContext) -> Sequence[str]:
-    """Module names in deterministic order (shared by the rule modules)."""
-    return sorted(ctx.modules)

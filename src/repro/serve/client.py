@@ -134,24 +134,6 @@ class ServeClient:
                 do_sleep(min(delay, max_delay))
                 attempt += 1
 
-    def submit_batch(self, specs: List[Dict[str, Any]],
-                     traceparent: Optional[str] = None,
-                     timeout: float = 600.0,
-                     **retry_kwargs) -> List[Dict[str, Any]]:
-        """Submit every spec, then wait for every job; returns final jobs.
-
-        All submissions go out before any waiting starts, so identical
-        specs in the batch coalesce onto one in-flight execution on the
-        server instead of serializing through the store.
-        """
-        submitted = [
-            self.submit_with_retry(spec, traceparent=traceparent,
-                                   **retry_kwargs)
-            for spec in specs
-        ]
-        return [self.wait(sub["job"]["id"], timeout=timeout)
-                for sub in submitted]
-
     def job(self, job_id: str) -> Dict[str, Any]:
         return self._checked("GET", f"/v1/jobs/{job_id}")["job"]
 

@@ -1,12 +1,12 @@
 """Job execution: the function that runs inside worker processes.
 
-:func:`execute_job` is the single entry point the server's
-``ProcessPoolExecutor`` calls.  It takes a picklable spec dict, runs the
-requested pipeline operation, and returns a picklable outcome dict —
-success or failure, a JSON-able result body, the job's CPU/wall seconds,
-a metrics-registry snapshot for the parent to fold back in (worker
-processes have their own process-wide registry), and the worker's span
-tree so the server can stitch one cross-process trace per job.
+:func:`execute_job` is the single entry point the server's worker pool
+calls.  It takes a picklable spec dict, runs the requested pipeline
+operation, and returns a picklable outcome dict — success or failure, a
+JSON-able result body, the job's CPU/wall seconds, a metrics-registry
+snapshot for the parent to fold back in (worker processes have their own
+process-wide registry), and the worker's span tree so the server can
+stitch one cross-process trace per job.
 
 Telemetry crosses the fork boundary in both directions: the spec's
 ``trace`` field carries the server's submit-span context in (worker spans

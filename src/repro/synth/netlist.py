@@ -31,10 +31,6 @@ class GateType(enum.Enum):
     BUF = "buf"
     DFF = "dff"
 
-    @property
-    def is_combinational(self) -> bool:
-        return self is not GateType.DFF
-
 
 # Gate types whose semantics are invariant under input permutation.
 SYMMETRIC_TYPES = frozenset(
@@ -195,9 +191,6 @@ class Netlist:
     def net_name(self, net: int) -> str:
         name = self._names[net] if net < len(self._names) else None
         return name if name is not None else f"n{net}"
-
-    def set_net_name(self, net: int, name: str) -> None:
-        self._names[net] = name
 
     def po_name(self, net: int) -> str:
         return self._po_names.get(net, self.net_name(net))

@@ -107,13 +107,6 @@ def sequential_depth(netlist: Netlist) -> int:
     return best
 
 
-def count_faults(netlist: Netlist) -> int:
-    """Collapsed stuck-at fault count (delegates to the ATPG fault model)."""
-    from repro.atpg.faults import build_fault_list
-
-    return len(build_fault_list(netlist))
-
-
 def netlist_stats(netlist: Netlist,
                   fault_region: Optional[str] = None) -> NetlistStats:
     """Compute the summary statistics for a netlist.

@@ -8,6 +8,7 @@ from repro.bench.experiments import (
     bench_scale,
     default_atpg_options,
 )
+from repro.obs import get_registry
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +72,23 @@ class TestStructuralTables:
         rows = exp.ablation_reuse_rows()
         by = {r["config"]: r for r in rows}
         assert by["reuse"]["tasks_run"] < by["no_reuse"]["tasks_run"]
+
+
+class TestReportFanOut:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_prefetch_reports_serial_equals_pool(self, exp, monkeypatch,
+                                                 jobs):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "smoke")
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        monkeypatch.setenv("REPRO_JOBS", jobs)
+        keys = [("standalone", "forward"), ("standalone", "exc")]
+        for key in keys:
+            exp._atpg_cache.pop(key, None)
+        get_registry().reset()
+        exp.prefetch_reports(keys)
+        reports = [exp._atpg_cache[key] for key in keys]
+        assert [(r.detected, r.untestable, r.aborted, r.num_vectors)
+                for r in reports] == [(36, 0, 0, 52), (143, 19, 13, 68)]
+        snapshot = get_registry().snapshot("atpg.")
+        assert snapshot["atpg.implications"]["value"] == 64091
+        assert snapshot["atpg.backtracks"]["value"] == 2434

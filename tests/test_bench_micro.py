@@ -1,11 +1,16 @@
 """Tests for the ``repro bench`` microbenchmark harness."""
 
 import json
+import time
 
 import pytest
 
-from repro.bench.experiments import resolve_jobs
+from repro.atpg.engine import AtpgOptions
+from repro.bench.serve import progress_overhead
 from repro.cli import main
+from repro.core.factor import Factor
+from repro.designs import arm2_source
+from repro.jobs import resolve_jobs
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -100,3 +105,30 @@ def test_retired_suites_rejected(suite, tmp_path, capsys):
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def _spin_1ms(_payload):
+    end = time.process_time() + 0.001
+    while time.process_time() < end:
+        pass
+
+
+def test_progress_overhead_gate_charges_the_reporter(monkeypatch):
+    """The serve suite's progress_overhead gate times the reporter's own
+    emits: 1 ms of work per event fails it, a plain append passes."""
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")  # every run executes
+    factor = Factor.from_verilog(arm2_source(), top="arm")
+    analyzed = factor.analyze("exc")
+    # A short random phase leaves PODEM more faults, hence more events.
+    options = AtpgOptions(max_frames=1, backtrack_limit=10, seed=2002,
+                          random_sequences=2, random_sequence_length=4)
+
+    def run():
+        return factor.generate_tests(analyzed, options)
+
+    events = []
+    match, text = progress_overhead(run, 1, events.append)
+    assert match, text
+    assert events
+    match, text = progress_overhead(run, 1, _spin_1ms)
+    assert not match, text

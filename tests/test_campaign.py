@@ -418,12 +418,13 @@ class TestRunner:
 
     def test_pool_trials_keep_their_metrics(self, monkeypatch):
         """Trials run in a worker pool fold their counters back into this
-        process's registry, where in-process trials count directly."""
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")  # both runs execute
+        process's registry, where in-process trials count directly;
+        ``jobs=0`` means all cores, as every other ``--jobs`` does."""
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")  # every run executes
         names = ("fault_sim.calls", "fault_sim.sequences",
                  "atpg.transient.injections")
         counts = {}
-        for jobs in (1, 2):
+        for jobs in (1, 2, 0):
             get_registry().reset()
             CampaignRunner(tiny_spec(), local=True, jobs=jobs).run()
             snap = get_registry().snapshot()
@@ -431,6 +432,7 @@ class TestRunner:
                             for name in names]
         assert all(counts[1]), counts
         assert counts[2] == counts[1]
+        assert counts[0] == counts[1]
 
     def test_invalid_trial_spec_records_error(self):
         spec = tiny_spec(base={},

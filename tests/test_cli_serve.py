@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs import get_registry
 from repro.serve import ServeConfig, ServerThread
 
 TWO_MUTS = """
@@ -24,6 +25,23 @@ module topm(input a, input b, input c, output y);
   and2 g0(.a(a), .b(b), .y(t));
   or2  g1(.a(t), .b(c), .y(u));
   assign y = ~u;
+endmodule
+"""
+
+# Wide gates: short random sequences miss their all-ones/all-zeros tests,
+# so PODEM runs and books implications.
+WIDE_MUTS = """
+module and8(input [7:0] a, output y);
+  assign y = &a;
+endmodule
+module or8(input [7:0] a, output y);
+  assign y = |a;
+endmodule
+module topw(input [7:0] a, input [7:0] b, output y);
+  wire t, u;
+  and8 g0(.a(a), .y(t));
+  or8  g1(.a(b), .y(u));
+  assign y = t ^ u;
 endmodule
 """
 
@@ -60,18 +78,34 @@ class TestAtpgJobs:
         assert "or2_transformed" in out
         assert "across 2 MUTs" in out
 
-    def test_multi_mut_parallel_pool(self, design_file, tmp_path, capsys):
-        metrics_path = str(tmp_path / "metrics.json")
-        rc = main(["atpg", design_file, "--top", "topm",
-                   "--mut", "and2", "--mut", "or2",
-                   "--frames", "1", "--backtrack-limit", "10",
-                   "--jobs", "2", "--metrics-out", metrics_path])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "jobs=2" in out
+    def test_multi_mut_parallel_pool(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")  # both runs execute
+        design = tmp_path / "wide.v"
+        design.write_text(WIDE_MUTS)
+        effort = {}
+        for jobs in ("1", "2"):
+            get_registry().reset()
+            metrics_path = str(tmp_path / f"metrics-{jobs}.json")
+            rc = main(["atpg", str(design), "--top", "topw",
+                       "--mut", "and8", "--mut", "or8", "--frames", "1",
+                       "--backtrack-limit", "10", "--random-length", "2",
+                       "--jobs", jobs, "--metrics-out", metrics_path])
+            assert rc == 0
+            assert f"jobs={jobs}" in capsys.readouterr().out
+            snapshot = json.loads(open(metrics_path).read())
+            effort[jobs] = [snapshot[name]["value"] for name in
+                            ("atpg.implications", "atpg.backtracks")]
         # Worker metrics were merged back into the parent registry.
-        snapshot = json.loads(open(metrics_path).read())
-        assert any(name.startswith("atpg.") for name in snapshot)
+        assert effort["1"][0] > 0
+        assert effort["2"] == effort["1"]
+
+    def test_single_mut_ignores_repro_jobs(self, design_file, capsys,
+                                           monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        rc = main(["atpg", design_file, "--top", "topm", "--mut", "and2",
+                   "--frames", "1", "--backtrack-limit", "10"])
+        assert rc == 0
+        assert "ATPG report for and2" in capsys.readouterr().out
 
     def test_duplicate_muts_rejected(self, design_file, capsys):
         rc = main(["atpg", design_file, "--top", "topm",

@@ -5,16 +5,20 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 
+import repro.jobs
 from repro.cli import main
 from repro.jobs import (
     SIGTERM_EXIT_CODE,
     Terminated,
     install_sigterm_handler,
+    map_runs,
     resolve_jobs,
 )
+from repro.obs import counter, get_registry, histogram
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -95,3 +99,81 @@ def test_resolve_jobs_rejects_garbage_env(monkeypatch, capsys, tmp_path):
     assert "error: REPRO_JOBS must be an integer, got 'abc'" in \
         capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# -- map_runs ------------------------------------------------------------------
+
+
+def _square_and_count(x):
+    counter("test.map_runs.items").inc()
+    counter("test.map_runs.total").inc(x)
+    histogram("test.map_runs.value").observe(x)
+    return x * x
+
+
+def test_map_runs_keeps_item_order():
+    items = [5, 3, 8, 1, 9, 2, 7]
+    assert map_runs(_square_and_count, items, jobs=3) == \
+        [x * x for x in items]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_map_runs_metrics_equal_the_serial_run(jobs):
+    items = list(range(1, 8))
+    registry = get_registry()
+    registry.reset()
+    expected = [_square_and_count(x) for x in items]
+    serial = registry.snapshot("test.map_runs.")
+    registry.reset()
+    assert map_runs(_square_and_count, items, jobs=jobs) == expected
+    assert registry.snapshot("test.map_runs.") == serial
+
+
+def test_map_runs_forks_closures_over_unpicklable_state():
+    lock = threading.Lock()  # a pickled closure over this would fail
+    fns = [lambda: "a", lambda: "b", lambda: "c"]
+
+    def call(fn):
+        with lock:
+            return fn()
+
+    assert map_runs(call, fns, jobs=2) == ["a", "b", "c"]
+
+
+def _fail_on_two(x):
+    if x == 2:
+        raise ValueError(f"bad item {x}")
+    return x
+
+
+def test_map_runs_propagates_worker_exceptions():
+    with pytest.raises(ValueError, match="bad item 2"):
+        map_runs(_fail_on_two, [1, 2, 3], jobs=2)
+
+
+def test_map_runs_reads_repro_jobs_only_to_fan_out(monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", "abc")
+    assert map_runs(_square_and_count, [4]) == [16]
+    with pytest.raises(ValueError,
+                       match="REPRO_JOBS must be an integer, got 'abc'"):
+        map_runs(_square_and_count, [4, 5])
+
+
+def test_map_runs_runs_items_in_child_processes():
+    pids = map_runs(lambda _x: os.getpid(), range(4), jobs=2)
+    assert os.getpid() not in pids
+    assert map_runs(lambda _x: os.getpid(), range(4), jobs=1) == \
+        [os.getpid()] * 4
+
+
+def test_map_runs_restores_the_work_global():
+    sentinel = (len, ["outer"])
+    repro.jobs._WORK = sentinel
+    try:
+        assert map_runs(len, ["ab", "cde"], jobs=2) == [2, 3]
+        assert repro.jobs._WORK is sentinel
+        with pytest.raises(ValueError):
+            map_runs(_fail_on_two, [1, 2], jobs=2)
+        assert repro.jobs._WORK is sentinel
+    finally:
+        repro.jobs._WORK = None
