@@ -1,17 +1,13 @@
-"""Arena-encoded netlist, good-machine codegen and word-parallel fault
-simulation.
+"""Kernel rows, good-machine codegen and word-parallel fault simulation.
 
 The object-graph :class:`~repro.synth.netlist.Netlist` is the wrong shape for
 the simulation hot path: every evaluation walks ``Gate`` dataclasses, tuples
-and dicts.  This module flattens a netlist once into a
-:class:`NetlistArena` — a frozen struct-of-arrays encoding (gate opcodes,
-outputs and levels, CSR fanin and reader rows as ``array('i')`` rows, dense
-net ids, the levelized evaluation order baked into the row order, a DFS
-site-rank map for cone packing) — and runs fault simulation directly on it.
-
-The arena is plain picklable data: it is cached in the artifact store (stage
-``arena``) keyed by the netlist fingerprint, so a warm process loads it
-instead of re-deriving levels and adjacency from the netlist.
+and dicts.  :class:`ArenaFaultSim` encodes a netlist once, in its
+constructor, as plain rows of ints, its kernel rows, and runs on nothing
+else: the good machine is generated from the rows, and the lane blocks
+evaluate them directly.  Rows are built once per netlist object in process
+(:func:`get_arena_sim`); only the compiled good-machine code is persisted,
+in the ``codegen`` store stage.
 
 This module is the one optimised simulator.  Its differential oracle is
 the interpreted gate-list code (:mod:`repro.atpg.fault_sim`,
@@ -33,9 +29,9 @@ to textbook PPSFP).  A call proceeds as:
 1. **Good-machine pass** — the fault-free simulation of every sequence of
    the batch at once, one plane per cycle in which bit ``s`` of each value
    is sequence ``s``, through code generated once per netlist: every net
-   becomes a local variable (``o<net>``/``z<net>`` for the ones/zeros
-   masks), gate operations are inlined in levelized order, and the
-   results are flushed into a flat list ``V`` (``V[2n]`` = ones,
+   becomes a local variable (``o<2n>``/``z<2n>`` for the ones/zeros
+   masks of net *n*), gate operations are inlined in levelized order, and
+   the results are flushed into a flat list ``V`` (``V[2n]`` = ones,
    ``V[2n+1]`` = zeros of net *n*).  The code is chunked into functions
    of bounded size so CPython's compiler stays fast.  The planes OR-ed
    over all cycles give, per net, the sequences in which it ever carried
@@ -74,84 +70,89 @@ interpreted oracle; ``tests/test_arena.py`` holds the differential suite.
 from __future__ import annotations
 
 import operator
-from array import array
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from weakref import WeakKeyDictionary
 
-from repro.synth.netlist import Gate, GateType, Netlist
+from repro.synth.netlist import GateType, Netlist
 from repro.atpg.faults import AnyFault, TransientFault
 
 Mask = Tuple[int, int]
 Vector = Mapping[int, int]
+# One kernel row: (opcode, 2 * output, 2 * inputs, readers of the output).
+KernelRow = Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]
 
 # Gates per generated function: bounds CPython compile time per chunk while
 # keeping the per-call dispatch overhead negligible.
 _CHUNK_GATES = 1500
 
+# Integer opcodes of the kernel rows.  DFFs live in their own (dff_q,
+# dff_d) rows, so only combinational types appear here.
+OP_AND, OP_OR, OP_NAND, OP_NOR, OP_XOR, OP_XNOR, OP_NOT, OP_BUF = range(8)
+
+OP_OF = {
+    GateType.AND: OP_AND, GateType.OR: OP_OR, GateType.NAND: OP_NAND,
+    GateType.NOR: OP_NOR, GateType.XOR: OP_XOR, GateType.XNOR: OP_XNOR,
+    GateType.NOT: OP_NOT, GateType.BUF: OP_BUF,
+}
+
 
 # -- code generation ----------------------------------------------------------
 
-def _gate_statements(gate: Gate) -> List[str]:
+def _gate_statements(op: int, out: int, ins: Tuple[int, ...]) -> List[str]:
     """Python statements computing ``o<out>``/``z<out>`` from input locals.
 
-    The expressions replicate :func:`repro.atpg.simulator.eval_gate` exactly,
+    ``out`` and ``ins`` are doubled net ids, as in a kernel row.  The
+    expressions replicate :func:`repro.atpg.simulator.eval_gate` exactly,
     including the identity-element folds (``full`` trims the AND/XOR masks the
     same way the interpreted fold starting from ``(full, 0)`` / ``(0, full)``
     does), so both backends agree bit-for-bit on all three values.
     """
-    t, out, ins = gate.type, gate.output, gate.inputs
-    if t is GateType.BUF:
+    if op == OP_BUF:
         a = ins[0]
         return [f" o{out} = o{a}; z{out} = z{a}"]
-    if t is GateType.NOT:
+    if op == OP_NOT:
         a = ins[0]
         return [f" o{out} = z{a}; z{out} = o{a}"]
-    if t is GateType.AND or t is GateType.NAND:
+    if op == OP_AND or op == OP_NAND:
         ones = " & ".join(["full"] + [f"o{i}" for i in ins])
         zeros = " | ".join(f"z{i}" for i in ins)
-        if t is GateType.NAND:
+        if op == OP_NAND:
             return [f" o{out} = {zeros}; z{out} = {ones}"]
         return [f" o{out} = {ones}; z{out} = {zeros}"]
-    if t is GateType.OR or t is GateType.NOR:
+    if op == OP_OR or op == OP_NOR:
         ones = " | ".join(f"o{i}" for i in ins)
         zeros = " & ".join(["full"] + [f"z{i}" for i in ins])
-        if t is GateType.NOR:
+        if op == OP_NOR:
             return [f" o{out} = {zeros}; z{out} = {ones}"]
         return [f" o{out} = {ones}; z{out} = {zeros}"]
-    if t is GateType.XOR or t is GateType.XNOR:
-        first = ins[0]
-        stmts = [f" _to = full & o{first}; _tz = full & z{first}"]
-        for i in ins[1:]:
-            stmts.append(
-                f" _to, _tz = (_to & z{i}) | (_tz & o{i}), "
-                f"(_to & o{i}) | (_tz & z{i})"
-            )
-        if t is GateType.XNOR:
-            stmts.append(f" o{out} = _tz; z{out} = _to")
-        else:
-            stmts.append(f" o{out} = _to; z{out} = _tz")
-        return stmts
-    raise ValueError(f"cannot compile gate type {t}")
+    first = ins[0]  # XOR / XNOR
+    stmts = [f" _to = full & o{first}; _tz = full & z{first}"]
+    for i in ins[1:]:
+        stmts.append(
+            f" _to, _tz = (_to & z{i}) | (_tz & o{i}), "
+            f"(_to & o{i}) | (_tz & z{i})"
+        )
+    if op == OP_XNOR:
+        stmts.append(f" o{out} = _tz; z{out} = _to")
+    else:
+        stmts.append(f" o{out} = _to; z{out} = _tz")
+    return stmts
 
 
-def _codegen_code_objects(order: Sequence[Gate], name: str):
-    """Generate and compile one code object per gate chunk."""
+def _codegen_code_objects(rows: Sequence[KernelRow], name: str):
+    """Generate and compile one code object per chunk of kernel rows."""
     codes = []
-    for start in range(0, len(order), _CHUNK_GATES):
-        gates = order[start:start + _CHUNK_GATES]
+    for start in range(0, len(rows), _CHUNK_GATES):
         lines = ["def _chunk(V, full):"]
         local: Set[int] = set()
-        for gate in gates:
-            for inp in gate.inputs:
-                if inp not in local:
-                    lines.append(
-                        f" o{inp} = V[{2 * inp}]; z{inp} = V[{2 * inp + 1}]"
-                    )
-                    local.add(inp)
-            lines.extend(_gate_statements(gate))
-            local.add(gate.output)
-            out = gate.output
-            lines.append(f" V[{2 * out}] = o{out}; V[{2 * out + 1}] = z{out}")
+        for op, out, ins, _readers in rows[start:start + _CHUNK_GATES]:
+            for i in ins:
+                if i not in local:
+                    lines.append(f" o{i} = V[{i}]; z{i} = V[{i + 1}]")
+                    local.add(i)
+            lines.extend(_gate_statements(op, out, ins))
+            local.add(out)
+            lines.append(f" V[{out}] = o{out}; V[{out + 1}] = z{out}")
         if len(lines) == 1:
             lines.append(" pass")
         source = "\n".join(lines)
@@ -168,16 +169,16 @@ def _chunks_from_codes(codes) -> List:
     return chunks
 
 
-def _codegen_chunks(arena: NetlistArena):
-    """The ``fn(V, full)`` chunk functions for an arena's levelized gates.
+def _codegen_chunks(sim: ArenaFaultSim):
+    """The ``fn(V, full)`` chunk functions for a simulator's kernel rows.
 
     Codegen and CPython compilation dominate first-call latency on large
     netlists, so the compiled code objects are persisted in the artifact
-    store as :mod:`marshal` blobs keyed by the arena's gate-order
-    fingerprint (:attr:`NetlistArena.digest`) and the interpreter's
+    store as :mod:`marshal` blobs keyed by the levelized gate-order
+    fingerprint (:attr:`ArenaFaultSim.digest`) and the interpreter's
     bytecode magic; a warm process deserializes instead of re-generating
-    and re-compiling, and rebuilds no ``Gate`` objects.  Any failure to
-    deserialize falls back to a fresh compile.
+    and re-compiling.  Any failure to deserialize falls back to a fresh
+    compile.
     """
     import importlib.util
     import marshal
@@ -186,7 +187,7 @@ def _codegen_chunks(arena: NetlistArena):
 
     store = get_store()
     key = {
-        "gates": arena.digest,
+        "gates": sim.digest,
         "chunk_gates": _CHUNK_GATES,
         "magic": importlib.util.MAGIC_NUMBER.hex(),
     }
@@ -196,157 +197,9 @@ def _codegen_chunks(arena: NetlistArena):
             return _chunks_from_codes(marshal.loads(blob) for blob in blobs)
         except (ValueError, EOFError, TypeError, KeyError):
             pass  # foreign/damaged blob: fall through to a fresh compile
-    codes = _codegen_code_objects(arena.gates(), arena.name)
+    codes = _codegen_code_objects(sim.rows, sim.name)
     store.put("codegen", key, [marshal.dumps(code) for code in codes])
     return _chunks_from_codes(codes)
-
-
-# Integer opcodes for the struct-of-arrays gate rows.  DFFs live in their
-# own (dff_q, dff_d) rows, so only combinational types appear here.
-OP_AND, OP_OR, OP_NAND, OP_NOR, OP_XOR, OP_XNOR, OP_NOT, OP_BUF = range(8)
-
-_OP_OF = {
-    GateType.AND: OP_AND, GateType.OR: OP_OR, GateType.NAND: OP_NAND,
-    GateType.NOR: OP_NOR, GateType.XOR: OP_XOR, GateType.XNOR: OP_XNOR,
-    GateType.NOT: OP_NOT, GateType.BUF: OP_BUF,
-}
-_GT_OF = {op: gt for gt, op in _OP_OF.items()}
-
-
-class NetlistArena:
-    """Frozen struct-of-arrays encoding of one netlist.
-
-    All rows are ``array('i')`` (or plain ints/strs), so instances pickle
-    compactly and cheaply into the artifact store.
-
-    Rows:
-
-    - ``gate_op`` / ``gate_out`` — combinational gates in levelized
-      topological order (evaluation order is the row order),
-    - ``gate_level`` — each gate row's combinational level (constants,
-      PIs and flip-flop Qs are level 0, so gates start at 1),
-    - ``fanin_off`` / ``fanin`` — CSR fanin per gate row,
-    - ``reader_off`` / ``reader`` — CSR per net: the gate rows that read
-      it, each row once, in row order,
-    - ``dff_q`` / ``dff_d`` — flip-flop Q and D nets,
-    - ``pis`` / ``pos`` — primary input / output nets,
-    - ``site_rank`` — DFS-topological rank per net (-1 for nets that are
-      not gate outputs); :meth:`cone_pack_order` sorts fault sites by it so
-      neighbouring lanes share fanout cones.
-
-    ``digest`` fingerprints the levelized gate rows; it keys the
-    ``codegen`` store stage.
-    """
-
-    def __init__(self, name: str, num_nets: int,
-                 gate_op: array, gate_out: array, gate_level: array,
-                 fanin_off: array, fanin: array,
-                 reader_off: array, reader: array,
-                 dff_q: array, dff_d: array,
-                 pis: array, pos: array,
-                 site_rank: array,
-                 fingerprint: Tuple[int, int, int, int],
-                 digest: str):
-        self.name = name
-        self.num_nets = num_nets
-        self.gate_op = gate_op
-        self.gate_out = gate_out
-        self.gate_level = gate_level
-        self.fanin_off = fanin_off
-        self.fanin = fanin
-        self.reader_off = reader_off
-        self.reader = reader
-        self.dff_q = dff_q
-        self.dff_d = dff_d
-        self.pis = pis
-        self.pos = pos
-        self.site_rank = site_rank
-        self.fingerprint = fingerprint
-        self.digest = digest
-
-    @property
-    def num_gates(self) -> int:
-        return len(self.gate_out)
-
-    @classmethod
-    def from_netlist(cls, netlist: Netlist) -> "NetlistArena":
-        from repro.store import gates_fingerprint
-
-        order = netlist.levelized_order()
-        level = netlist.levels()
-        num_nets = netlist.num_nets
-
-        gate_op = array("i", (_OP_OF[g.type] for g in order))
-        gate_out = array("i", (g.output for g in order))
-        gate_level = array("i", (level[g.output] for g in order))
-        fanin_off = array("i", [0])
-        fanin = array("i")
-        readers: List[List[int]] = [[] for _ in range(num_nets)]
-        for gi, g in enumerate(order):
-            fanin.extend(g.inputs)
-            fanin_off.append(len(fanin))
-            for inp in dict.fromkeys(g.inputs):
-                readers[inp].append(gi)
-        reader_off = array("i", [0])
-        reader = array("i")
-        for rows in readers:
-            reader.extend(rows)
-            reader_off.append(len(reader))
-
-        dffs = netlist.dffs()
-        dff_q = array("i", (d.output for d in dffs))
-        dff_d = array("i", (d.inputs[0] for d in dffs))
-
-        site_rank = array("i", [-1]) * num_nets
-        for i, g in enumerate(netlist.topological_order()):
-            site_rank[g.output] = i
-
-        fingerprint = (num_nets, len(netlist.gates), len(netlist.pis),
-                       len(netlist.pos))
-        digest = gates_fingerprint(order, num_nets)
-        return cls(
-            name=netlist.name, num_nets=num_nets,
-            gate_op=gate_op, gate_out=gate_out, gate_level=gate_level,
-            fanin_off=fanin_off, fanin=fanin,
-            reader_off=reader_off, reader=reader,
-            dff_q=dff_q, dff_d=dff_d,
-            pis=array("i", netlist.pis), pos=array("i", netlist.pos),
-            site_rank=site_rank,
-            fingerprint=fingerprint, digest=digest,
-        )
-
-    # -- derived views ------------------------------------------------------
-
-    def gate_inputs(self, gi: int) -> Tuple[int, ...]:
-        return tuple(self.fanin[self.fanin_off[gi]:self.fanin_off[gi + 1]])
-
-    def gates(self) -> List[Gate]:
-        """The levelized combinational gate row as ``Gate`` objects.
-
-        The reconstructed sequence is element-wise identical to
-        :meth:`Netlist.levelized_order`, so the good-machine codegen it
-        feeds on a ``codegen`` store miss is the one the netlist itself
-        yields.
-        """
-        return [
-            Gate(type=_GT_OF[self.gate_op[gi]], output=self.gate_out[gi],
-                 inputs=self.gate_inputs(gi))
-            for gi in range(len(self.gate_out))
-        ]
-
-    def cone_pack_order(self, faults: Sequence[AnyFault]
-                        ) -> List[AnyFault]:
-        """Faults sorted so neighbouring lanes share fanout cones (PIs,
-        which have no rank, sort first).  Upsets sort after every stuck-at
-        fault, by flip cycle first, so a block of upsets starts
-        simulating at its earliest flip."""
-        rank = self.site_rank
-        nn = self.num_nets
-        return sorted(
-            faults,
-            key=lambda f: (getattr(f, "cycle", -1),
-                           rank[f.net] if f.net < nn else -1, f.net, f.value),
-        )
 
 
 # -- word-parallel fault simulation -------------------------------------------
@@ -388,57 +241,90 @@ class _Spread(dict):
 
 
 class ArenaFaultSim:
-    """Fault simulation over one :class:`NetlistArena`.
+    """Fault simulation over one netlist's kernel rows.
 
-    Holds every reusable artifact of repeated simulation against the same
-    arena: the good-machine chunk functions and the lane-block kernel's
-    rows.  Get instances through :func:`get_arena_sim` so every
-    ``FaultSimulator`` over the same netlist shares them.
+    The constructor encodes the netlist and keeps no reference to it, so
+    the :func:`get_arena_sim` cache entry dies with its netlist:
+
+    - ``rows[gi]`` — ``(op, 2 * output, 2 * inputs, readers of the
+      output)`` per combinational gate, in levelized order,
+    - ``level[gi]`` — each row's combinational level (constants, PIs and
+      flip-flop Qs are level 0, so gates start at 1),
+    - ``readers[n]`` — the rows that read net ``n``, each row once, in
+      row order,
+    - ``loads`` — ``2 * D`` mapped to the ``2 * Q`` of the flip-flops that
+      D net loads,
+    - ``dff_q`` / ``dff_d`` — flip-flop Q and D nets, ``pis`` / ``pos`` —
+      primary input / output nets,
+    - ``site_rank`` — DFS-topological rank per net (-1 for nets that are
+      not gate outputs); :meth:`cone_pack_order` sorts fault sites by it so
+      neighbouring lanes share fanout cones,
+    - ``shape`` — the netlist's ``(num_nets, gates, pis, pos)`` counts, by
+      which :func:`get_arena_sim` tells a stale simulator, and ``digest``,
+      the levelized gate-order fingerprint that keys the ``codegen`` store
+      stage.
+
+    The good-machine chunk functions are built on first use.  Get
+    instances through :func:`get_arena_sim` so every ``FaultSimulator``
+    over the same netlist shares them.
     """
 
-    def __init__(self, arena: NetlistArena):
-        self.arena = arena
-        self._chunks = None  # good-machine codegen, built lazily
-        self._kernel = None  # lane-block kernel rows, built lazily
+    def __init__(self, netlist: Netlist):
+        from repro.store import gates_fingerprint
 
-    def _kernel_rows(self):
-        """The lane-block kernel's view of the arena, built on first use:
-        ``(rows, readers, level, loads)``.
+        order = netlist.levelized_order()
+        level = netlist.levels()
+        self.name = netlist.name
+        self.num_nets = n = netlist.num_nets
+        twice = [2 * net for net in range(n)]  # shared ints
+        readers: List[List[int]] = [[] for _ in range(n)]
+        for gi, g in enumerate(order):
+            for i in dict.fromkeys(g.inputs):
+                readers[i].append(gi)
+        self.readers = [tuple(gis) for gis in readers]
+        self.rows: List[KernelRow] = [
+            (OP_OF[g.type], twice[g.output],
+             tuple(twice[i] for i in g.inputs), self.readers[g.output])
+            for g in order
+        ]
+        self.level = [level[g.output] for g in order]
 
-        Net ids are doubled, because they index the ``[o0, z0, o1, z1,
-        ...]`` good planes.  ``rows[gi]`` is ``(op, 2 * output, 2 *
-        inputs, readers of the output)``; ``readers[n]`` holds the gate
-        rows that read net ``n`` and ``level[gi]`` the level of row
-        ``gi``; ``loads`` maps ``2 * D`` to ``2 * Q`` of the flip-flops
-        that D net loads.
-        """
-        if self._kernel is None:
-            arena = self.arena
-            reader, off = arena.reader, arena.reader_off
-            fanin, fanin_off = arena.fanin, arena.fanin_off
-            twice = [2 * n for n in range(arena.num_nets)]  # shared ints
-            gis = list(range(arena.num_gates))  # shared ints
-            readers = [tuple(gis[r] for r in reader[off[n]:off[n + 1]])
-                       for n in range(arena.num_nets)]
-            rows = [
-                (arena.gate_op[gi], twice[arena.gate_out[gi]],
-                 tuple(twice[i]
-                       for i in fanin[fanin_off[gi]:fanin_off[gi + 1]]),
-                 readers[arena.gate_out[gi]])
-                for gi in gis
-            ]
-            loads: Dict[int, Tuple[int, ...]] = {}
-            for q, d in zip(arena.dff_q, arena.dff_d):
-                loads[2 * d] = loads.get(2 * d, ()) + (2 * q,)
-            self._kernel = (rows, readers, list(arena.gate_level), loads)
-        return self._kernel
+        dffs = netlist.dffs()
+        self.dff_q = [d.output for d in dffs]
+        self.dff_d = [d.inputs[0] for d in dffs]
+        self.loads: Dict[int, Tuple[int, ...]] = {}
+        for q, d in zip(self.dff_q, self.dff_d):
+            self.loads[2 * d] = self.loads.get(2 * d, ()) + (2 * q,)
+        self.pis = list(netlist.pis)
+        self.pos = list(netlist.pos)
+
+        self.site_rank = [-1] * n
+        for i, g in enumerate(netlist.topological_order()):
+            self.site_rank[g.output] = i
+        self.shape = _shape(netlist)
+        self.digest = gates_fingerprint(order, n)
+        self._chunks = None  # good-machine codegen, built on first use
+
+    def cone_pack_order(self, faults: Sequence[AnyFault]
+                        ) -> List[AnyFault]:
+        """Faults sorted so neighbouring lanes share fanout cones (PIs,
+        which have no rank, sort first).  Upsets sort after every stuck-at
+        fault, by flip cycle first, so a block of upsets starts
+        simulating at its earliest flip."""
+        rank = self.site_rank
+        nn = self.num_nets
+        return sorted(
+            faults,
+            key=lambda f: (getattr(f, "cycle", -1),
+                           rank[f.net] if f.net < nn else -1, f.net, f.value),
+        )
 
     # -- good machine -------------------------------------------------------
 
     def chunks(self) -> List:
         """The good-machine ``fn(V, full)`` chunk functions (built once)."""
         if self._chunks is None:
-            self._chunks = _codegen_chunks(self.arena)
+            self._chunks = _codegen_chunks(self)
         return self._chunks
 
     def _good_pass(self, sequences: Sequence[Sequence[Vector]],
@@ -453,14 +339,13 @@ class ArenaFaultSim:
         mark the sequences in which net ``n`` ever carried binary 1 / 0.
         """
         chunks = self.chunks()
-        arena = self.arena
-        pis, dff_q, dff_d = arena.pis, arena.dff_q, arena.dff_d
+        pis, dff_q, dff_d = self.pis, self.dff_q, self.dff_d
         full = (1 << len(sequences)) - 1
         state: Dict[int, Mask] = {q: (0, 0) for q in dff_q}
         if initial_state:
             for q, bit in initial_state.items():
                 state[q] = (full, 0) if bit else (0, full)
-        values = [0] * (2 * arena.num_nets)
+        values = [0] * (2 * self.num_nets)
         values[1] = full  # const0 zeros plane
         values[2] = full  # const1 ones plane
         planes: List[List[int]] = []
@@ -525,7 +410,8 @@ class ArenaFaultSim:
         block's first injection every lane equals the good machine, so a
         block of upsets alone starts at its earliest flip.
         """
-        rows, readers_of, level, loads = self._kernel_rows()
+        rows, readers_of, level, loads = (self.rows, self.readers,
+                                          self.level, self.loads)
         # One bucket of pending gate rows per level, emptied as it runs
         # (rows are in level order, so the last row has the top level).
         buckets: List[Set[int]] = [
@@ -712,7 +598,7 @@ class ArenaFaultSim:
         identity or a Kleene refinement of the good value, which can
         never reach an observe point as a binary-vs-binary difference
         (module docstring, step 2).  Surviving pairs are sorted by
-        :meth:`NetlistArena.cone_pack_order` of their fault, then by
+        :meth:`cone_pack_order` of their fault, then by
         sequence, and cut into blocks of ``lanes``.  Bit-identical to the
         interpreted oracle for any mix of X inputs, initial flip-flop
         state and extra observe points.
@@ -723,8 +609,7 @@ class ArenaFaultSim:
         if not faults or not sequences:
             return found, 0
         planes, ever = self._good_pass(sequences, initial_state)
-        arena = self.arena
-        obs_points: Set[int] = set(arena.pos)
+        obs_points: Set[int] = set(self.pos)
         if extra_observables:
             obs_points.update(extra_observables)
         obs2 = frozenset(2 * n for n in obs_points)
@@ -745,7 +630,7 @@ class ArenaFaultSim:
             if mask:
                 live[f] = mask
         pairs: List[Tuple[AnyFault, int]] = []
-        for f in arena.cone_pack_order(list(live)):
+        for f in self.cone_pack_order(list(live)):
             mask = live[f]
             while mask:
                 low = mask & -mask
@@ -784,36 +669,21 @@ class ArenaFaultSim:
 _SIMS: "WeakKeyDictionary[Netlist, ArenaFaultSim]" = WeakKeyDictionary()
 
 
+def _shape(netlist: Netlist) -> Tuple[int, int, int, int]:
+    return (netlist.num_nets, len(netlist.gates), len(netlist.pis),
+            len(netlist.pos))
+
+
 def get_arena_sim(netlist: Netlist) -> ArenaFaultSim:
     """The shared :class:`ArenaFaultSim` for ``netlist``.
 
     One simulator per netlist object, rebuilt when the netlist grew
     (append-only mutation is the only kind this codebase performs), so
-    every simulator facade over it shares one set of good-machine chunks.
-    The simulator holds the arena, never the
-    netlist: the cache entry dies with its netlist.  Across processes the
-    pickled arena is memoized in the artifact store under the ``arena``
-    stage, keyed by the netlist fingerprint.
+    every simulator facade over it shares one set of kernel rows and
+    good-machine chunks.  The simulator never references the netlist, so
+    the cache entry dies with its netlist.
     """
     sim = _SIMS.get(netlist)
-    current = (netlist.num_nets, len(netlist.gates), len(netlist.pis),
-               len(netlist.pos))
-    if sim is not None and sim.arena.fingerprint == current:
-        return sim
-
-    from repro.store import get_store, netlist_fingerprint
-
-    store = get_store()
-    key = {"netlist": netlist_fingerprint(netlist)}
-    arena = store.get("arena", key)
-    if not (isinstance(arena, NetlistArena)
-            and arena.fingerprint == current):
-        arena = NetlistArena.from_netlist(netlist)
-        store.put("arena", key, arena)
-    sim = _SIMS[netlist] = ArenaFaultSim(arena)
+    if sim is None or sim.shape != _shape(netlist):
+        sim = _SIMS[netlist] = ArenaFaultSim(netlist)
     return sim
-
-
-def get_arena(netlist: Netlist) -> NetlistArena:
-    """The cached arena encoding of ``netlist`` (see :func:`get_arena_sim`)."""
-    return get_arena_sim(netlist).arena

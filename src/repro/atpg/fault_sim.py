@@ -190,7 +190,7 @@ class FaultSimulator:
     """Grades vector sequences against a fault list, lane-parallel.
 
     The default (``backend=None`` or ``"arena"``) runs the
-    struct-of-arrays simulation of :mod:`repro.atpg.arena`: one
+    kernel-row simulation of :mod:`repro.atpg.arena`: one
     good-machine pass per batch of sequences, a provably exact
     undetectability filter, and event-driven lane blocks whose lanes each
     carry one (fault, sequence) pair and which evaluate only the gates a

@@ -158,12 +158,3 @@ def build_transient_fault_list(netlist: Netlist, num_cycles: int,
         out.append(TransientFault(sites[rest // 2], value, cycle))
     return sorted(out)
 
-
-def fault_universe_size(netlist: Netlist,
-                        region: Optional[str] = None) -> int:
-    """Uncollapsed fault count (2 faults per site)."""
-    sites = all_fault_sites(netlist)
-    if region is not None:
-        regions = getattr(netlist, "regions", {})
-        sites = [n for n in sites if regions.get(n, "").startswith(region)]
-    return 2 * len(sites)

@@ -13,9 +13,9 @@ PODEM search on it.  The search runs on its **flat-index layout**: every
 ``key_*`` row holds one entry per key: the driver's opcode, input keys and
 5-valued evaluation table, the fanout keys, the level, and whether the key
 is controllable or assignable.  ``base_plane`` holds the fault-free values
-with every input unassigned.  Opcodes and gate inputs come from the
-netlist's :class:`~repro.atpg.arena.NetlistArena`.  All of it is built in
-the constructor.
+with every input unassigned.  Opcodes (the fault simulator's ``OP_*``
+codes), gate inputs and flip-flop pairs come from the model's own walk of
+the netlist's gates.  All of it is built in the constructor.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.synth.netlist import CONST0, CONST1, Gate, Netlist
 from repro.atpg.arena import (OP_AND, OP_BUF, OP_NAND, OP_NOR, OP_NOT,
-                              OP_OR, OP_XNOR, OP_XOR, get_arena)
+                              OP_OF, OP_OR, OP_XNOR, OP_XOR)
 from repro.atpg.values import (ALL_VALUES, AND_TABLE, NOT_TABLE, OR_TABLE,
                                V0, V1, VX, XOR_TABLE)
 
-# Key opcodes beyond the arena's combinational ones: a later-frame flop Q
+# Key opcodes beyond the combinational ones: a later-frame flop Q
 # (a copy of the previous frame's D) and a source (PI, frame-0 Q,
 # constant or floating net), which has no driver.
 OP_DFF = 8
@@ -108,8 +108,7 @@ class UnrolledModel:
 
     def _build_flat(self) -> None:
         """Build the ``key_*`` rows and the base plane (module docstring)."""
-        arena = get_arena(self.netlist)
-        n = self.num_nets = arena.num_nets
+        n = self.num_nets = self.netlist.num_nets
         frames = self.frames
         size = frames * n
 
@@ -117,9 +116,10 @@ class UnrolledModel:
         net_op = bytearray([OP_SOURCE]) * n
         net_fanin: List[Tuple[int, ...]] = [()] * n
         net_table: List[Optional[bytes]] = [None] * n
-        for gi, out in enumerate(arena.gate_out):
-            op = net_op[out] = arena.gate_op[gi]
-            fanin = net_fanin[out] = arena.gate_inputs(gi)
+        for gate in self.order:
+            out = gate.output
+            op = net_op[out] = OP_OF[gate.type]
+            fanin = net_fanin[out] = gate.inputs
             net_table[out] = (_ONE_INPUT_TABLE[op] if len(fanin) == 1
                               else _LAST_TABLE[op])
         # Readers in the order of ``self.fanout`` (a gate reading a net
@@ -148,7 +148,7 @@ class UnrolledModel:
             self.key_fanin += [tuple(map(shift, ins)) for ins in net_fanin]
             self.key_fanout += [tuple(map(shift, r)) for r in net_readers]
             self.key_level += [frame * base + lvl for lvl in net_level]
-        d_of_q = dict(zip(arena.dff_q, arena.dff_d))
+        d_of_q = {dff.output: dff.inputs[0] for dff in self.dffs}
         for q, d in d_of_q.items():
             # Frame 0: a source, settable only when the flop is a PIER.
             self.key_controllable[q] = self.key_assignable[q] = \
@@ -175,8 +175,8 @@ class UnrolledModel:
             if frame > 0:
                 for q in d_of_q:
                     plane[off + q] = plane[fanin[off + q][0]]
-            for out in arena.gate_out:  # levelized: inputs come first
-                key = off + out
+            for gate in self.order:  # topological: inputs come first
+                key = off + gate.output
                 plane[key] = evaluate_key(plane, fanin[key], table[key],
                                           ops[key])
         self.base_plane = plane

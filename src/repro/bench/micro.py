@@ -76,7 +76,7 @@ def _timed_detect(netlist: Netlist, backend: str,
     """Detected set and best-of-``repeats`` CPU seconds for one backend.
 
     An untimed warmup over the full workload first populates the
-    per-netlist caches (generated good-machine code, the netlist arena),
+    per-netlist caches (generated good-machine code, the kernel rows),
     so the row reports steady-state throughput — the regime every ATPG
     run after the first operates in.
     """

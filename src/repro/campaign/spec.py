@@ -106,8 +106,12 @@ class CampaignSpec:
     def load(cls, path: str) -> "CampaignSpec":
         """Parse a ``.toml`` or ``.json`` spec file."""
         if path.endswith(".toml"):
-            import tomllib
-
+            try:
+                import tomllib
+            except ImportError:
+                raise CampaignSpecError(
+                    "TOML campaign specs need Python 3.11+ (tomllib); "
+                    "use a .json spec") from None
             with open(path, "rb") as handle:
                 try:
                     payload = tomllib.load(handle)

@@ -170,14 +170,6 @@ class Design:
         visit(self._top, (), (self._top,))
         return results
 
-    def hierarchy_chain(self, name: str) -> List[str]:
-        """Module names from top down to ``name`` along a shortest path."""
-        paths = self.paths_to(name)
-        if not paths:
-            raise DesignError(f"module {name!r} is not reachable from top")
-        best = min(paths, key=lambda p: p.depth)
-        return list(best.modules)
-
     def modules_under(self, name: str) -> Set[str]:
         """Transitive closure of modules instantiated under ``name``."""
         seen: Set[str] = set()
@@ -190,13 +182,6 @@ class Design:
             for _, child in self.children(current):
                 stack.append(child)
         return seen
-
-    def subsource(self, root: str) -> ast.Source:
-        """A new Source containing ``root`` and everything beneath it."""
-        keep = self.modules_under(root)
-        return ast.Source(
-            modules=[m for m in self.source.modules if m.name in keep]
-        )
 
     # -- validation ----------------------------------------------------------
 

@@ -10,15 +10,17 @@ re-code-generating and re-running ATPG from scratch.
 
 Stages and their keys:
 
-===========  ==============================================================
-``ast``      preprocessed Verilog text fingerprint
-``extract``  (design fp, MUT module+path, extraction mode)
-``transform``(design fp, MUT module+path, mode, optimize flag)
-``synth``    (design fp, root, netlist name, optimize flag)
-``codegen``  (arena digest = levelized gate-order fp, chunk size, magic)
-``atpg``     (netlist content fp, resolved ATPG options fp)
-``campaign`` (trial job-spec request fingerprint)
-===========  ==============================================================
+=============  ============================================================
+``ast``        preprocessed Verilog text fingerprint
+``extract``    (design fp, MUT module+path, extraction mode)
+``transform``  (design fp, MUT module+path, mode, optimize flag)
+``synth``      (design fp, root, netlist name, optimize flag)
+``codegen``    (fault simulator's ``digest`` = levelized gate-order fp,
+               chunk size, bytecode magic)
+``atpg``       (netlist content fp, resolved ATPG options fp)
+``campaign``   (trial job-spec request fingerprint)
+``serve``      (served job's request fingerprint)
+=============  ============================================================
 
 See :mod:`repro.store.core` for robustness guarantees (atomic publish,
 corruption/version-skew fallback, concurrency) and the environment knobs

@@ -7,7 +7,7 @@ fingerprint)::
 
 where ``<kk>`` is the first two hex digits of the key fingerprint and
 ``<stage>`` is a short stage name (``ast``, ``extract``, ``transform``,
-``synth``, ``codegen``, ``arena``, ``atpg``, ``campaign``).  Every
+``synth``, ``codegen``, ``atpg``, ``campaign``, ``serve``).  Every
 payload is wrapped in an envelope
 recording the store schema and the producing tool version; entries whose
 envelope does not match the reader are treated as misses and recomputed —

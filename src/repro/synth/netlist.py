@@ -132,9 +132,8 @@ class Netlist:
         self._po_names: Dict[int, str] = {}
         self._driver: Dict[int, Gate] = {}
         # Structural generation counter: bumped by every mutation that can
-        # change fanout or level results, invalidating the caches below.
+        # change level results, invalidating the cache below.
         self._generation = 0
-        self._fanouts_cache: Optional[Tuple[int, Dict[int, List[Gate]]]] = None
         self._levels_cache: Optional[Tuple[int, Dict[int, int]]] = None
 
     # -- construction --------------------------------------------------------
@@ -197,23 +196,6 @@ class Netlist:
 
     def driver(self, net: int) -> Optional[Gate]:
         return self._driver.get(net)
-
-    def fanouts(self) -> Dict[int, List[Gate]]:
-        """Map net -> gates reading it.
-
-        Cached against the structural generation counter (invalidated by
-        ``add_pi``/``add_gate``/``add_gate_to``); treat the returned dict
-        as read-only.
-        """
-        cached = self._fanouts_cache
-        if cached is not None and cached[0] == self._generation:
-            return cached[1]
-        table: Dict[int, List[Gate]] = {}
-        for gate in self.gates:
-            for inp in gate.inputs:
-                table.setdefault(inp, []).append(gate)
-        self._fanouts_cache = (self._generation, table)
-        return table
 
     def dffs(self) -> List[Gate]:
         return [g for g in self.gates if g.type is GateType.DFF]

@@ -1,28 +1,28 @@
 """Differential tests for the arena fault-simulation backend.
 
-The arena backend (struct-of-arrays netlist encoding, one batched
+The arena backend (kernel rows built once per netlist, one batched
 good-machine pass, exact undetectability filter, event-driven lane blocks)
 must produce detected-fault sets bit-identical to the interpreted oracle on
 every netlist — including X inputs, preset flip-flop state, Q-net primary
 outputs and extra observe points — at any lane width, for one sequence or
-a batch, and the arena itself must survive a pickle round trip unchanged.
-Hand-built netlists cover the event kernel's edge cases, and a pinned
-gate-evaluation count on arm_alu guards its work.
+a batch.  Hand-built netlists cover the event kernel's edge cases, and a
+pinned gate-evaluation count on arm_alu guards its work.
 """
 
 import gc
-import pickle
 import random
 import weakref
 
 import pytest
 
-from repro.atpg.arena import (ArenaFaultSim, NetlistArena, get_arena,
-                              get_arena_sim)
+from repro.atpg import arena
+from repro.atpg.arena import ArenaFaultSim, get_arena_sim
 from repro.atpg.engine import AtpgEngine, AtpgOptions
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import (Fault, TransientFault, build_fault_list,
                                build_transient_fault_list)
+from repro.atpg.podem import Podem
+from repro.atpg.sequential import UnrolledModel
 from repro.core.factor import Factor
 from repro.designs import arm2_source
 from repro.obs import get_registry
@@ -244,33 +244,14 @@ def test_empty_inputs():
         random_bit_vectors(nl, cycles=3, seed=1), []) == set()
 
 
-def test_arena_pickle_round_trip_identity():
-    nl = random_netlist(7, num_pis=5, num_dffs=3, num_gates=25)
-    arena = get_arena(nl)
-    clone = pickle.loads(pickle.dumps(arena))
-    assert isinstance(clone, NetlistArena)
-    assert clone.fingerprint == arena.fingerprint
-    assert clone.digest == arena.digest
-    for row in ("gate_op", "gate_out", "gate_level", "fanin_off", "fanin",
-                "reader_off", "reader", "dff_q", "dff_d", "pis", "pos",
-                "site_rank"):
-        assert getattr(clone, row) == getattr(arena, row), row
-
-    # A simulator over the unpickled arena detects the same faults.
-    vectors = random_bit_vectors(nl, cycles=8, seed=70, x_rate=0.2)
-    faults = build_fault_list(nl)
-    (det_orig,), _ = ArenaFaultSim(arena).first_detections([vectors], faults)
-    (det_clone,), _ = ArenaFaultSim(clone).first_detections([vectors], faults)
-    assert det_orig == det_clone == detect(nl, "interpreted", vectors, faults)
-
-
 def test_arena_rebuilt_when_netlist_grows():
     nl = random_netlist(3)
-    arena = get_arena(nl)
+    sim = get_arena_sim(nl)
+    assert get_arena_sim(nl) is sim
     pi = nl.add_pi("late")
     nl.add_po(nl.add_gate(GateType.NOT, [pi], name="late_g"), "late_o")
-    grown = get_arena(nl)
-    assert grown is not arena
+    grown = get_arena_sim(nl)
+    assert grown is not sim
     assert grown.num_nets == nl.num_nets
 
 
@@ -286,32 +267,24 @@ def test_refinement_filter_is_exact():
                 == detect(nl, "interpreted", vectors, faults))
 
 
-def test_codegen_store_hit_rebuilds_no_gates(monkeypatch):
-    """A warm ``codegen`` entry is keyed by the arena digest alone: the
-    warm simulator never rebuilds the ``Gate`` list."""
+def test_codegen_store_hit_compiles_nothing(monkeypatch):
+    """A warm ``codegen`` entry is keyed by the simulator's digest alone:
+    a second simulator over the netlist loads its good machine from the
+    store and compiles nothing."""
     nl = random_netlist(9, num_pis=5, num_dffs=3, num_gates=25)
-    arena = get_arena(nl)
-    ArenaFaultSim(arena).chunks()  # cold: generate, compile, store
+    ArenaFaultSim(nl).chunks()  # cold: generate, compile, store
 
-    def no_gates(self):
-        raise AssertionError("gates() rebuilt on a warm codegen store")
+    def no_compile(rows, name):
+        raise AssertionError("good machine compiled on a warm codegen store")
 
-    monkeypatch.setattr(NetlistArena, "gates", no_gates)
-    warm = ArenaFaultSim(arena)
+    monkeypatch.setattr(arena, "_codegen_code_objects", no_compile)
+    warm = ArenaFaultSim(nl)
     assert warm.chunks()
     vectors = random_bit_vectors(nl, cycles=6, seed=9, x_rate=0.2)
     faults = build_fault_list(nl)
     (det,), _ = warm.first_detections([vectors], faults)
     monkeypatch.undo()
     assert det == detect(nl, "interpreted", vectors, faults)
-
-
-def test_gate_reconstruction_round_trips():
-    nl = random_netlist(6)
-    rebuilt = get_arena(nl).gates()
-    original = nl.levelized_order()
-    assert [(g.type, g.output, g.inputs) for g in rebuilt] \
-        == [(g.type, g.output, g.inputs) for g in original]
 
 
 def test_one_simulator_per_netlist_shares_the_good_machine():
@@ -321,22 +294,28 @@ def test_one_simulator_per_netlist_shares_the_good_machine():
     sim = get_arena_sim(nl)
     assert FaultSimulator(nl, backend="arena")._arena_sim is sim
     assert FaultSimulator(nl)._arena_sim is sim
-    assert get_arena(nl) is sim.arena
 
 
 def test_simulator_freed_with_its_netlist():
     """The per-netlist simulator cache must not keep anything alive: once
-    the netlist is garbage, so are its ArenaFaultSim and arena."""
+    the netlist is garbage, so is its ArenaFaultSim."""
     nl = random_netlist(8)
     fsim = FaultSimulator(nl, backend="arena")
     fsim.detected_faults(random_bit_vectors(nl, cycles=4, seed=8),
                          build_fault_list(nl))
     sim_ref = weakref.ref(fsim._arena_sim)
-    arena_ref = weakref.ref(fsim._arena_sim.arena)
     del nl, fsim
     gc.collect()
     assert sim_ref() is None
-    assert arena_ref() is None
+
+
+def test_podem_builds_no_simulator():
+    """PODEM reads opcodes and fanin from its own model: an unrolled
+    model and a search leave the simulator cache untouched."""
+    nl = random_netlist(5, num_pis=5, num_dffs=3, num_gates=25)
+    model = UnrolledModel(nl, 2)
+    Podem(model, sorted(build_fault_list(nl))[0], backtrack_limit=10).run()
+    assert nl not in arena._SIMS
 
 
 # ``fault_sim.arena.gate_evals``, ``.passes`` and ``.lanes_filled`` of one

@@ -12,7 +12,7 @@ chooses a simulator.
 
 import pytest
 
-from repro.atpg.arena import get_arena, get_arena_sim
+from repro.atpg.arena import get_arena_sim
 from repro.atpg.engine import AtpgEngine, AtpgOptions
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import build_fault_list
@@ -131,24 +131,26 @@ def test_fanout_cone_and_levels():
     g3 = nl.add_gate(GateType.OR, [q, b])
     nl.add_po(g3, "o")
 
-    arena = get_arena(nl)
-    row = {out: gi for gi, out in enumerate(arena.gate_out)}
+    sim = get_arena_sim(nl)
+    row = {r[1] // 2: gi for gi, r in enumerate(sim.rows)}  # net -> row
 
     def readers(net):
-        rows = list(arena.reader[arena.reader_off[net]:
-                                 arena.reader_off[net + 1]])
+        rows = list(sim.readers[net])
         assert rows == sorted(set(rows))  # each row once, in row order
-        return {arena.gate_out[gi] for gi in rows}
+        return {sim.rows[gi][1] // 2 for gi in rows}
 
-    # Combinational readers only: the flop reading g2 is a D->Q row.
+    # Combinational readers only: the flop reading g2 is a D->Q load.
     assert readers(a) == {g1}
     assert readers(b) == {g1, g3}
     assert readers(g1) == {g2}
     assert readers(g2) == set()
     assert readers(q) == {g3}
-    assert list(zip(arena.dff_d, arena.dff_q)) == [(g2, q)]
-    assert [arena.gate_level[row[n]] for n in (g1, g2, g3)] == [1, 2, 1]
-    assert list(arena.gate_level) == sorted(arena.gate_level)
+    assert sim.loads == {2 * g2: (2 * q,)}
+    # A row's inputs and readers are its gate's, with doubled net ids.
+    assert sim.rows[row[g3]][2] == (2 * q, 2 * b)
+    assert sim.rows[row[g1]][3] == sim.readers[g1] == (row[g2],)
+    assert [sim.level[row[n]] for n in (g1, g2, g3)] == [1, 2, 1]
+    assert sim.level == sorted(sim.level)
 
     levels = nl.levels()
     assert levels[a] == 0 and levels[q] == 0

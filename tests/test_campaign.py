@@ -12,6 +12,7 @@ coalescing and store warm-serving end to end.
 import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -43,6 +44,9 @@ SRC = (
     "endmodule\n"
 )
 
+TOML_SPEC = ('name = "t1"\ndesign = "arm2"\nmut = "arm_alu"\n'
+             "[factors]\nframes = [1, 2]\n")
+
 
 def tiny_spec(**overrides):
     fields = {
@@ -64,18 +68,26 @@ def tiny_spec(**overrides):
 
 class TestSpec:
     def test_load_toml_and_json(self, tmp_path):
-        toml = tmp_path / "c.toml"
-        toml.write_text(
-            'name = "t1"\ndesign = "arm2"\nmut = "arm_alu"\n'
-            "[factors]\nframes = [1, 2]\n")
-        spec = CampaignSpec.load(str(toml))
-        assert spec.name == "t1" and spec.factors == {"frames": [1, 2]}
-
         as_json = tmp_path / "c.json"
         as_json.write_text(json.dumps({
             "name": "t2", "design": "arm2", "mut": "arm_alu",
             "factors": {"frames": [1, 2]}}))
         assert CampaignSpec.load(str(as_json)).name == "t2"
+
+        if sys.version_info < (3, 11):
+            pytest.skip("TOML specs need tomllib (Python 3.11+)")
+        toml = tmp_path / "c.toml"
+        toml.write_text(TOML_SPEC)
+        spec = CampaignSpec.load(str(toml))
+        assert spec.name == "t1" and spec.factors == {"frames": [1, 2]}
+
+    def test_toml_without_tomllib_is_a_spec_error(self, tmp_path,
+                                                  monkeypatch):
+        toml = tmp_path / "c.toml"
+        toml.write_text(TOML_SPEC)
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        with pytest.raises(CampaignSpecError, match="Python 3.11"):
+            CampaignSpec.load(str(toml))
 
     def test_source_file_is_inlined(self, tmp_path):
         src = tmp_path / "d.v"

@@ -99,16 +99,9 @@ class TestHierarchyQueries:
             assert path.depth == 2
             assert path.parent().leaf_module == "mid"
 
-    def test_hierarchy_chain(self):
-        assert self.design.hierarchy_chain("leaf") == ["top", "mid", "leaf"]
-
     def test_modules_under(self):
         assert self.design.modules_under("mid") == {"mid", "leaf"}
         assert self.design.modules_under("top") == {"top", "mid", "leaf"}
-
-    def test_subsource(self):
-        sub = self.design.subsource("mid")
-        assert sorted(sub.module_names()) == ["leaf", "mid"]
 
     def test_instance_in(self):
         inst = self.design.instance_in("mid", "u_a")

@@ -69,14 +69,6 @@ class TestQueries:
         assert len(nl.dffs()) == 1
         assert len(nl.combinational_gates()) == 2
 
-    def test_fanouts(self):
-        nl, a, b, ab = build_simple()
-        extra = nl.add_gate(GateType.OR, (a, ab))
-        fan = nl.fanouts()
-        assert len(fan[a]) == 2
-        assert len(fan[ab]) == 1
-        assert extra not in fan
-
     def test_clone_is_independent(self):
         nl, a, b, ab = build_simple()
         other = nl.clone()

@@ -347,6 +347,17 @@ class TestDifferential:
             assert snapshot[f"store.{stage}.hits"]["value"] >= 1, stage
             assert f"store.{stage}.misses" not in snapshot
 
+    def test_cold_run_writes_only_pipeline_stages(self, tmp_path,
+                                                  monkeypatch):
+        """A cold analysis plus ATPG publishes the parse, extract,
+        transform, codegen and report stages and nothing else: the fault
+        simulator's kernel rows are built in process, never stored."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        _run_pipeline()
+        stages = set(get_store().stats()) - {"total"}
+        assert stages == {"ast", "atpg", "codegen", "extract", "transform"}
+
     def test_corrupt_store_still_produces_report(self, tmp_path,
                                                  monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
