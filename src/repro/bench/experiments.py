@@ -344,8 +344,8 @@ class Arm2Experiments:
         rows = []
         mut = self.muts()[0]
         spec = MutSpec(module=mut.name, path=mut.path)
+        composer = self.composers[ExtractionMode.COMPOSE]
         for label, do_opt in (("optimized", True), ("raw", False)):
-            composer = ConstraintComposer(self.design, ExtractionMode.COMPOSE)
             tr = composer.transform(spec, do_optimize=do_opt)
             rows.append({
                 "config": label,

@@ -690,13 +690,15 @@ def _cmd_atpg(args) -> int:
     if len(muts) > 1 and args.path:
         raise ValueError("--path only applies to a single --mut; paths "
                          "are inferred for multi-MUT runs")
+    # One Factor for every MUT, so each analysis reuses the extraction
+    # tasks and syntheses of the ones before it (forked workers inherit it).
+    factor = _factor_for(args)
     if getattr(args, "lint", False):
-        code = _lint_gate(args, _factor_for(args))
+        code = _lint_gate(args, factor)
         if code:
             return code
 
     def run(mut):
-        factor = _factor_for(args)
         result = factor.analyze(mut, path=args.path,
                                 use_piers=not args.no_piers)
         return factor.generate_tests(result, _atpg_options(args))

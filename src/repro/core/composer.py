@@ -4,7 +4,9 @@ A :class:`ConstraintComposer` owns one compositional extractor whose task
 cache persists across module-under-test extractions: constraints computed at
 higher hierarchy levels for one MUT (e.g. the decode table's opcode cone)
 are reused verbatim for the next MUT.  This is the mechanism behind the
-lower extraction times of Table 3 relative to Table 2.
+lower extraction times of Table 3 relative to Table 2.  The reuse goes on
+past extraction: MUTs whose transformed modules S' + M come out identical
+share one synthesis (:func:`~repro.core.transform.build_transformed_module`).
 
 On top of the in-process task cache sits the persistent artifact store
 (:mod:`repro.store`): finished extraction results and transformed modules
@@ -19,7 +21,7 @@ describe real (cold) work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.extractor import (
     ExtractionMode,
@@ -27,7 +29,11 @@ from repro.core.extractor import (
     FunctionalConstraintExtractor,
     MutSpec,
 )
-from repro.core.transform import TransformedModule, build_transformed_module
+from repro.core.transform import (
+    SynthMemo,
+    TransformedModule,
+    build_transformed_module,
+)
 from repro.hierarchy.design import Design
 from repro.obs import counter, gauge, span
 from repro.store import MISS, get_store
@@ -58,7 +64,10 @@ class ConstraintComposer:
         self.extractor = FunctionalConstraintExtractor(design, mode)
         self.stats = ReuseStats()
         self._extractions: Dict[str, ExtractionResult] = {}
-        self._transforms: Dict[str, TransformedModule] = {}
+        self._transforms: Dict[Tuple[str, bool], TransformedModule] = {}
+        # One synthesis per distinct S' + M: MUTs whose transformed
+        # modules coincide share its netlist (build_transformed_module).
+        self._synthesized: SynthMemo = {}
 
     def _store_key(self, mut: MutSpec,
                    do_optimize: Optional[bool] = None) -> Dict[str, object]:
@@ -101,7 +110,7 @@ class ConstraintComposer:
 
     def transform(self, mut: MutSpec,
                   do_optimize: bool = True) -> TransformedModule:
-        key = mut.path
+        key = (mut.path, do_optimize)
         if key not in self._transforms:
             store = get_store()
             store_key = self._store_key(mut, do_optimize=do_optimize)
@@ -110,7 +119,7 @@ class ConstraintComposer:
                 extraction = self.extract(mut)
                 transformed = build_transformed_module(
                     self.design, extraction, self.extractor,
-                    do_optimize=do_optimize,
+                    do_optimize=do_optimize, synthesized=self._synthesized,
                 )
                 store.put("transform", store_key, transformed)
             else:

@@ -11,8 +11,9 @@ the MUT's faults can be targeted by hierarchical region.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.extractor import (
     ExtractionResult,
@@ -23,6 +24,7 @@ from repro.core.extractor import (
 )
 from repro.hierarchy.design import Design
 from repro.obs import counter, span
+from repro.store import fingerprint_text
 from repro.synth.elaborate import Elaborator
 from repro.synth.netlist import Netlist
 from repro.synth.opt import optimize
@@ -49,13 +51,29 @@ class TransformedModule:
     extraction_seconds: float
 
 
+# What synthesis reads (the emitted S' + M text's fingerprint, the top
+# module, ``do_optimize``) -> the netlist it built, its synthesis seconds
+# and the path of the MUT whose synthesis built it.
+SynthMemo = Dict[Tuple[str, Optional[str], bool], Tuple[Netlist, float, str]]
+
+
 def build_transformed_module(
     design: Design,
     extraction: ExtractionResult,
     extractor: FunctionalConstraintExtractor,
     do_optimize: bool = True,
+    synthesized: Optional[SynthMemo] = None,
 ) -> TransformedModule:
-    """Assemble, emit and synthesize the transformed module."""
+    """Assemble, emit and synthesize the transformed module.
+
+    With a ``synthesized`` memo, S' + M is elaborated and optimized only
+    if no earlier call synthesized the same Verilog text for the same top
+    and ``do_optimize``.  Otherwise the module gets a view of that netlist
+    under its own ``<module>_transformed`` name, the memo entry's cold
+    ``synthesis_seconds``, and the ``compose`` span names the MUT whose
+    synthesis it reuses in ``synthesis_reused_from``.
+    """
+    netlist_name = f"{extraction.mut.module}_transformed"
     with span("compose", mut=extraction.mut.path) as sp:
         pruned = prune_design(design, extraction, extractor)
         verilog = write_source(pruned)
@@ -72,16 +90,32 @@ def build_transformed_module(
         sp.set("statements_kept", kept)
         sp.set("statements_pruned", max(0, total_stmts - kept))
         counter("compose.statements_pruned").inc(max(0, total_stmts - kept))
+        if synthesized is None:
+            synthesized = {}
+        key = (fingerprint_text(verilog), design.top, do_optimize)
+        shared = synthesized.get(key)
+        if shared is not None:
+            sp.set("synthesis_reused_from", shared[2])
 
-    with span("synth", mut=extraction.mut.path) as sp:
-        pruned_design = Design(pruned, top=design.top)
-        netlist = Elaborator(pruned_design).synthesize(
-            design.top, name=f"{extraction.mut.module}_transformed"
-        )
-        if do_optimize:
-            netlist = optimize(netlist)
-        sp.set("gates", netlist.gate_count())
-        synthesis_seconds = sp.cpu_seconds
+    if shared is None:
+        with span("synth", mut=extraction.mut.path) as sp:
+            pruned_design = Design(pruned, top=design.top)
+            netlist = Elaborator(pruned_design).synthesize(
+                design.top, name=netlist_name
+            )
+            if do_optimize:
+                netlist = optimize(netlist)
+            sp.set("gates", netlist.gate_count())
+            synthesis_seconds = sp.cpu_seconds
+        synthesized[key] = (netlist, synthesis_seconds, extraction.mut.path)
+    else:
+        # A view under this MUT's name that shares the gate list, net
+        # names, PIs, POs and regions.  Finished transformed netlists are
+        # never mutated: only synth/elaborate.py, synth/opt.py and
+        # synth/equiv.py build netlists, each a new one.
+        netlist = copy.copy(shared[0])
+        netlist.name = netlist_name
+        synthesis_seconds = shared[1]
 
     region = extraction.mut.path
     regions = getattr(netlist, "regions", {})
@@ -111,8 +145,16 @@ def build_transformed_module(
 
 def prune_design(design: Design, extraction: ExtractionResult,
                  extractor: FunctionalConstraintExtractor) -> ast.Source:
-    """Produce the pruned AST Source for an extraction result."""
-    marks = extraction.marks
+    """Produce the pruned AST Source for an extraction result.
+
+    The kept modules come in the design's own order
+    (``design.module_names()``), not in the order the extraction reached
+    them, so two extractions that keep the same S' + M emit the same
+    Verilog text.  Elaboration starts at the top and resolves instances
+    by name, so the order does not change the netlist.
+    """
+    marks = {name: extraction.marks[name] for name in design.module_names()
+             if name in extraction.marks}
     pruned_modules: List[ast.Module] = []
     pruned_ports: Dict[str, Set[str]] = {}
 

@@ -296,6 +296,8 @@ class Netlist:
         other.pos = list(self.pos)
         other.po_pairs = list(self.po_pairs)
         other._po_names = dict(self._po_names)
+        other.regions = dict(  # type: ignore[attr-defined]
+            getattr(self, "regions", {}))
         for gate in self.gates:
             other.add_gate_to(gate.type, gate.output, gate.inputs)
         return other

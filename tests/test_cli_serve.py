@@ -99,6 +99,23 @@ class TestAtpgJobs:
         assert effort["1"][0] > 0
         assert effort["2"] == effort["1"]
 
+    def test_multi_mut_shares_one_factor(self, design_file, tmp_path,
+                                         capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")  # nothing warm-starts
+        get_registry().reset()
+        metrics_path = str(tmp_path / "metrics.json")
+        rc = main(["atpg", design_file, "--top", "topm",
+                   "--mut", "and2", "--mut", "or2", "--frames", "1",
+                   "--backtrack-limit", "10", "--jobs", "1", "--lint",
+                   "--metrics-out", metrics_path])
+        assert rc == 0
+        assert "and2_transformed" in capsys.readouterr().out
+        snapshot = json.loads(open(metrics_path).read())
+        # One parse serves the lint gate and both MUTs, and the second
+        # extraction reuses tasks of the first.
+        assert snapshot["verilog.parses"]["value"] == 1
+        assert snapshot["extract.tasks_reused"]["value"] > 0
+
     def test_single_mut_ignores_repro_jobs(self, design_file, capsys,
                                            monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "abc")

@@ -6,6 +6,7 @@ from repro import Factor, MutSpec
 from repro.core.composer import ConstraintComposer, ReuseStats
 from repro.designs import arm2_source, mux_tree_source
 from repro.hierarchy import Design
+from repro.store import netlist_fingerprint
 from repro.verilog.parser import parse_source
 
 
@@ -49,6 +50,22 @@ class TestComposerCaching:
         c = composer.extract(MutSpec(module="mux2", path="u_hi."))
         assert c is not a
         assert composer.stats.extractions == 2
+
+    def test_transform_cached_per_do_optimize(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        design = Design(parse_source(mux_tree_source()))
+        composer = ConstraintComposer(design)
+        spec = MutSpec(module="mux2", path="u_lo.")
+        optimized = composer.transform(spec)
+        raw = composer.transform(spec, do_optimize=False)
+        assert raw.netlist is not optimized.netlist
+        assert (raw.netlist.gate_count(include_buffers=True)
+                > optimized.netlist.gate_count(include_buffers=True))
+        fresh = ConstraintComposer(design).transform(spec, do_optimize=False)
+        assert netlist_fingerprint(raw.netlist) == \
+            netlist_fingerprint(fresh.netlist)
+        assert composer.transform(spec) is optimized
+        assert composer.transform(spec, do_optimize=False) is raw
 
     def test_transform_do_optimize_false(self):
         design = Design(parse_source(mux_tree_source()))

@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.atpg.faults import build_fault_list
+from repro.hierarchy import Design
+from repro.store import netlist_fingerprint
+from repro.synth import synthesize
 from repro.synth.netlist import CONST0, CONST1, GateType, Netlist, NetlistError
+from repro.verilog.parser import parse_source
 
 
 def build_simple():
@@ -75,6 +80,25 @@ class TestQueries:
         other.add_gate(GateType.NOT, (a,))
         assert len(other.gates) == len(nl.gates) + 1
         assert other.po_pairs == nl.po_pairs
+
+    def test_clone_keeps_regions(self):
+        design = Design(parse_source("""
+        module inv(input a, output y);
+          assign y = ~a;
+        endmodule
+        module top(input a, input b, output y);
+          wire t;
+          inv u_inv(.a(a), .y(t));
+          assign y = t & b;
+        endmodule
+        """))
+        nl = synthesize(design)
+        other = nl.clone()
+        assert other.regions == nl.regions
+        assert netlist_fingerprint(other) == netlist_fingerprint(nl)
+        faults = build_fault_list(nl, region="u_inv.")
+        assert faults
+        assert build_fault_list(other, region="u_inv.") == faults
 
 
 class TestTopologicalOrder:

@@ -13,8 +13,11 @@ import pytest
 from repro.atpg.simulator import LogicSimulator
 from repro.core.composer import ConstraintComposer
 from repro.core.extractor import ExtractionMode, MutSpec
+from repro.core.factor import Factor
 from repro.designs import arm2_source, ARM2_MUTS
 from repro.hierarchy import Design
+from repro.obs import get_registry, get_tracer
+from repro.store import netlist_fingerprint
 from repro.synth import synthesize
 from repro.verilog.parser import parse_source
 
@@ -164,3 +167,88 @@ class TestArm2Transforms:
         re_design = Design(parse_source(tr.verilog), top="arm")
         re_netlist = synthesize(re_design)
         assert re_netlist.gate_count() == tr.total_gates
+
+
+# The compose-mode MUTs inside u_dp whose S' + M coincide (ARM2_PINS in
+# tests/test_opt.py); in conventional mode all four MUTs share one S' + M.
+U_DP_MUTS = ("arm_alu", "regfile_struct", "forward")
+PATHS = {mut.name: mut.path for mut in ARM2_MUTS}
+
+
+@pytest.fixture(scope="module")
+def arm2_factors():
+    """Every arm2 MUT transformed through one Factor per mode, with the
+    artifact store off: per mode, the Factor, its transformed modules by
+    MUT, the ``synth.elaborations`` they took and their ``compose`` span
+    attributes by MUT path."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_NO_CACHE", "1")
+        for mode in ("compose", "conventional"):
+            get_registry().reset()
+            factor = Factor.from_verilog(arm2_source(), top="arm",
+                                         mode=ExtractionMode(mode))
+            with get_tracer().span("arm2_factor") as root:
+                transformed = {
+                    mut.name: factor.composer.transform(
+                        factor.mut_spec(mut.name, mut.path))
+                    for mut in ARM2_MUTS
+                }
+            elaborations = get_registry().snapshot(
+                "synth.elaborations")["synth.elaborations"]["value"]
+            spans = {s.attrs["mut"]: s.attrs for s in root.walk()
+                     if s.name == "compose"}
+            runs[mode] = (factor, transformed, elaborations, spans)
+    return runs
+
+
+class TestSharedSynthesis:
+    """One synthesis per distinct S' + M within one composer."""
+
+    def test_equal_environments_emit_equal_verilog(self, arm2_factors):
+        factor, transformed, _, _ = arm2_factors["compose"]
+        assert len({transformed[name].verilog for name in U_DP_MUTS}) == 1
+        for tr in transformed.values():
+            kept = [module.name for module in tr.source.modules]
+            assert kept == [name for name in factor.design.module_names()
+                            if name in kept]
+
+    def test_one_elaboration_per_distinct_netlist(self, arm2_factors):
+        assert arm2_factors["compose"][2] == 2
+        assert arm2_factors["conventional"][2] == 1
+
+    @pytest.mark.parametrize("mode, shared", [
+        ("compose", U_DP_MUTS),
+        ("conventional", tuple(mut.name for mut in ARM2_MUTS)),
+    ])
+    def test_reused_netlist_is_a_named_view(self, arm2_factors, monkeypatch,
+                                            mode, shared):
+        transformed = arm2_factors[mode][1]
+        first = transformed[shared[0]]
+        assert first.netlist.name == f"{shared[0]}_transformed"
+        for name in shared[1:]:
+            view = transformed[name]
+            assert view.netlist is not first.netlist
+            assert view.netlist.name == f"{name}_transformed"
+            assert view.netlist.gates is first.netlist.gates
+            assert view.netlist.regions is first.netlist.regions
+            assert view.synthesis_seconds == first.synthesis_seconds
+            assert view.mut_region == PATHS[name]
+        # The last view equals what a fresh Factor synthesizes for its MUT.
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        fresh = Factor.from_verilog(arm2_source(), top="arm",
+                                    mode=ExtractionMode(mode))
+        tr = fresh.composer.transform(fresh.mut_spec(name, PATHS[name]))
+        assert tr.netlist.gates is not view.netlist.gates
+        assert netlist_fingerprint(view.netlist) == \
+            netlist_fingerprint(tr.netlist)
+        assert (view.total_gates, view.mut_gates) == \
+            (tr.total_gates, tr.mut_gates)
+
+    def test_compose_span_names_the_reused_synthesis(self, arm2_factors):
+        spans = arm2_factors["compose"][3]
+        key = "synthesis_reused_from"
+        assert key not in spans[PATHS["arm_alu"]]
+        assert key not in spans[PATHS["exc"]]
+        for name in U_DP_MUTS[1:]:
+            assert spans[PATHS[name]][key] == PATHS["arm_alu"]
