@@ -23,7 +23,7 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Set,
                     Tuple, TypeVar)
 
 from repro.synth.netlist import CONST0, CONST1, GateType, Gate, Netlist
-from repro.atpg.arena import get_arena_sim
+from repro.atpg.arena import DEFAULT_LANES, get_arena_sim
 from repro.atpg.faults import AnyFault, TransientFault
 
 Vector = Mapping[int, int]  # PI net -> 0 or 1 (missing = X)
@@ -32,12 +32,6 @@ F = TypeVar("F")  # the fault type of one lane block
 #: One cycle's fault injection: ``(net, ones, zeros) -> (ones, zeros)``,
 #: applied to every PI, flip-flop output and gate output.
 Injection = Callable[[int, int, int], Tuple[int, int]]
-
-# Default lane width per block: 512 (fault, sequence) pairs in the arena,
-# which has no good lane, or one good machine + 511 faults in the
-# interpreted loop.  Only tests pass ``FaultSimulator`` another width, to
-# cut small netlists into many blocks.
-DEFAULT_LANES = 512
 
 
 def flat_gates(netlist: Netlist
@@ -198,6 +192,11 @@ class FaultSimulator:
     oracle: it walks the full flat gate list per block of faults
     (:func:`simulate_lanes`), one sequence at a time with fault dropping.
     Results are bit-identical across both.
+
+    ``lanes`` is the block width: :data:`~repro.atpg.arena.DEFAULT_LANES`
+    (fault, sequence) pairs per arena block, which has no good lane, and
+    one good machine + ``lanes - 1`` faults per interpreted block.  Only
+    tests pass another width, to cut small netlists into many blocks.
     """
 
     def __init__(self, netlist: Netlist, lanes: int = DEFAULT_LANES,

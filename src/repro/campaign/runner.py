@@ -82,8 +82,7 @@ class CampaignRunner:
         else:
             outcomes = self._run_batch_local(configs)
         rows = []
-        for config, (result, cost_s, served_from, error) in zip(configs,
-                                                                outcomes):
+        for config, (result, served_from, error) in zip(configs, outcomes):
             row: Dict[str, Any] = {
                 "campaign": self.spec.name,
                 "phase": phase,
@@ -97,9 +96,11 @@ class CampaignRunner:
                 row["seu_coverage"] = (
                     result.get("transient_coverage_percent")
                     if result.get("transient_total") else None)
+                # Every trial is charged its ATPG report's CPU seconds,
+                # served or local, fresh or reused: not the parse,
+                # extraction and synthesis a worker may have done for it.
                 row["cost_s"] = round(
-                    cost_s if cost_s is not None
-                    else float(result.get("cpu_seconds") or 0.0), 6)
+                    float(result.get("cpu_seconds") or 0.0), 6)
             row["fitness"] = round(trial_fitness(row), 6)
             self.db.append(row)
             counter("campaign.trials_run").inc()
@@ -112,9 +113,8 @@ class CampaignRunner:
                  total=len(self.db.rows()))
         return rows
 
-    # outcome tuple: (result row | None, cost_s | None, served_from, error)
-    Outcome = Tuple[Optional[Dict[str, Any]], Optional[float], str,
-                    Optional[str]]
+    # outcome tuple: (result row | None, served_from, error)
+    Outcome = Tuple[Optional[Dict[str, Any]], str, Optional[str]]
 
     def _run_batch_server(self, configs) -> List["CampaignRunner.Outcome"]:
         from repro.serve.client import ServeClient, ServeError
@@ -140,16 +140,16 @@ class CampaignRunner:
         outcomes: List[CampaignRunner.Outcome] = []
         for job_id, coalesced, error in submitted:
             if job_id is None:
-                outcomes.append((None, None, "error", error))
+                outcomes.append((None, "error", error))
                 continue
             try:
                 job = client.wait(job_id, timeout=self.trial_timeout)
             except (ServeError, OSError, TimeoutError) as exc:
-                outcomes.append((None, None, "error",
+                outcomes.append((None, "error",
                                  f"{type(exc).__name__}: {exc}"))
                 continue
             if job.get("status") != "done":
-                outcomes.append((None, None, "error",
+                outcomes.append((None, "error",
                                  job.get("error") or "job failed"))
                 continue
             result = job.get("result") or {}
@@ -160,9 +160,7 @@ class CampaignRunner:
                 served = "coalesced"
             else:
                 served = job.get("served_from") or "pipeline"
-            outcomes.append((result,
-                             float(result.get("cpu_seconds") or 0.0),
-                             served, None))
+            outcomes.append((result, served, None))
         return outcomes
 
     def _run_batch_local(self, configs) -> List["CampaignRunner.Outcome"]:
@@ -189,10 +187,9 @@ class CampaignRunner:
                 continue
             payload = store.get("campaign", {"spec": fp})
             if payload is not MISS:
-                result, cost_s = payload
                 self._local_seen[fp] = {
-                    "result": result, "cost_s": cost_s,
-                    "served_from": "cache", "error": None}
+                    "result": payload[0], "served_from": "cache",
+                    "error": None}
             else:
                 self._local_seen[fp] = {}  # placeholder: executes below
                 fresh.append((fp, spec))
@@ -201,27 +198,27 @@ class CampaignRunner:
                                self._execute_specs([s for _f, s in fresh])):
             ok = outcome.get("ok")
             result = outcome.get("result") if ok else None
-            cost_s = float(outcome.get("cpu_s") or 0.0)
             self._local_seen[fp] = {
-                "result": result, "cost_s": cost_s,
-                "served_from": "pipeline",
+                "result": result, "served_from": "pipeline",
                 "error": None if ok else outcome.get("error")}
             if ok:
-                store.put("campaign", {"spec": fp}, (result, cost_s))
+                # (result, cost) is the entry format; the cost is the
+                # report's CPU seconds, which run_trials charges.
+                store.put("campaign", {"spec": fp},
+                          (result, float(result.get("cpu_seconds") or 0.0)))
 
         outcomes: List[CampaignRunner.Outcome] = []
         served = set()
         for fp, _spec, error in prepared:
             if fp is None:
-                outcomes.append((None, None, "error", error))
+                outcomes.append((None, "error", error))
                 continue
             hit = self._local_seen[fp]
             served_from = hit["served_from"]
             if fp in served and served_from == "pipeline":
                 served_from = "coalesced"  # in-run duplicate
             served.add(fp)
-            outcomes.append((hit["result"], hit["cost_s"], served_from,
-                             hit["error"]))
+            outcomes.append((hit["result"], served_from, hit["error"]))
         return outcomes
 
     def _execute_specs(self, specs: List[Dict[str, Any]]

@@ -71,7 +71,9 @@ def build_transformed_module(
     and ``do_optimize``.  Otherwise the module gets a view of that netlist
     under its own ``<module>_transformed`` name, the memo entry's cold
     ``synthesis_seconds``, and the ``compose`` span names the MUT whose
-    synthesis it reuses in ``synthesis_reused_from``.
+    synthesis it reuses in ``synthesis_reused_from``.  The view's
+    ``view_of`` is that netlist, so every view of it shares one fault
+    simulator (:func:`~repro.atpg.arena.get_arena_sim`).
     """
     netlist_name = f"{extraction.mut.module}_transformed"
     with span("compose", mut=extraction.mut.path) as sp:
@@ -115,6 +117,7 @@ def build_transformed_module(
         # synth/equiv.py build netlists, each a new one.
         netlist = copy.copy(shared[0])
         netlist.name = netlist_name
+        netlist.view_of = shared[0]  # type: ignore[attr-defined]
         synthesis_seconds = shared[1]
 
     region = extraction.mut.path

@@ -20,10 +20,17 @@ operation warm-starts through the persistent artifact store exactly like
 a CLI run: the second time any design/MUT/options combination is
 executed — by any worker — parsing, extraction, synthesis and even the
 final ATPG report load from the store.
+
+Within one worker thread it goes further: the thread keeps the last
+:class:`~repro.core.factor.Factor` it built (:func:`_factor`), so a run of
+jobs on one design parses it, extracts shared constraints, synthesizes
+each distinct transformed module and builds its fault simulator once,
+as multi-MUT ``repro atpg`` does within one run.
 """
 
 from __future__ import annotations
 
+import threading
 import traceback
 from typing import Any, Dict, Optional
 
@@ -32,6 +39,7 @@ from repro.core.extractor import ExtractionMode
 from repro.core.factor import Factor
 from repro.obs import QueueProgressReporter, get_registry, get_tracer, \
     parse_traceparent, set_reporter, span
+from repro.store import fingerprint_text, get_store
 
 from repro.serve.protocol import JobSpec
 
@@ -42,6 +50,10 @@ _PROGRESS_QUEUE: Optional[Any] = None
 #: Event name of the end-of-stream marker a job puts on the progress
 #: queue after its last event; it is never republished to clients.
 PROGRESS_END = "progress_end"
+
+#: This thread's warm Factor as ``(key, factor)`` in ``.factor``; see
+#: :func:`_factor`.
+_WARM = threading.local()
 
 
 def init_worker_progress(queue: Any) -> None:
@@ -94,6 +106,7 @@ def execute_job(spec_dict: Dict[str, Any],
             "spans": [root.to_dict()],
         }
     except Exception as exc:
+        drop_warm_factor()  # it may hold a half-finished extraction
         outcome = {
             "ok": False,
             "result": None,
@@ -114,9 +127,35 @@ def execute_job(spec_dict: Dict[str, Any],
 
 
 def _factor(spec: JobSpec) -> Factor:
+    """The Factor for ``spec``'s design: this thread's warm one if its
+    key matches, else a new one that replaces it.
+
+    The key is the source text's fingerprint, the top, the extraction
+    mode and the artifact store the Factor reads and writes (its root, or
+    ``"disabled"``), so a changed cache configuration never reuses
+    in-memory results.  A thread holds at most one Factor, and a job that
+    raises drops it (:func:`execute_job`).  ATPG results do not depend on
+    the reuse; ``analyze``'s ``tasks_run``/``tasks_reused`` count the
+    extraction tasks this thread's Factor ran and reused.
+    """
     mode = (ExtractionMode.CONVENTIONAL if spec.mode == "conventional"
             else ExtractionMode.COMPOSE)
-    return Factor.from_verilog(spec.source, top=spec.top, mode=mode)
+    store = get_store()
+    key = (fingerprint_text(spec.source), spec.top, mode,
+           store.root if store.enabled else "disabled")
+    warm = getattr(_WARM, "factor", None)
+    if warm is not None and warm[0] == key:
+        return warm[1]
+    # Release the old Factor before its successor is built.
+    _WARM.factor = warm = None
+    factor = Factor.from_verilog(spec.source, top=spec.top, mode=mode)
+    _WARM.factor = (key, factor)
+    return factor
+
+
+def drop_warm_factor() -> None:
+    """Forget this thread's warm Factor, if any."""
+    _WARM.factor = None
 
 
 def _op_analyze(spec: JobSpec) -> Dict[str, Any]:

@@ -12,10 +12,14 @@ def _isolated_artifact_store(tmp_path, monkeypatch):
     Tests must never read (or pollute) the developer's ~/.cache/repro,
     and a store warmed by an earlier test would make results order
     dependent (and mask recomputation bugs).  Tests that exercise warm
-    behavior run the pipeline twice themselves.
+    behavior run the pipeline twice themselves.  For the same reason no
+    test starts with the serve worker's warm Factor of an earlier one.
     """
+    from repro.serve.worker import drop_warm_factor
+
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "artifact-store"))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    drop_warm_factor()
 
 from repro.atpg.simulator import LogicSimulator
 from repro.hierarchy import Design

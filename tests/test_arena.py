@@ -309,6 +309,55 @@ def test_simulator_freed_with_its_netlist():
     assert sim_ref() is None
 
 
+def test_views_of_one_netlist_share_one_simulator():
+    """arm_alu and regfile_struct keep the same compose-mode S' + M: the
+    second MUT gets a view of the first's netlist under its own name, and
+    the view gets the netlist's simulator."""
+    factor = Factor.from_verilog(arm2_source(), top="arm")
+    base = factor.analyze("arm_alu").transformed.netlist
+    view = factor.analyze("regfile_struct").transformed.netlist
+    assert view is not base and view.view_of is base
+    assert view.name == "regfile_struct_transformed"
+    assert get_arena_sim(view) is get_arena_sim(base)
+
+
+def test_multi_mut_atpg_builds_one_simulator_per_netlist(tmp_path, capsys,
+                                                         monkeypatch):
+    """forward's transformed module is arm_alu's, so ``repro atpg`` over
+    arm_alu, forward and exc builds two simulators and compiles two good
+    machines, and prints the reports one simulator per MUT printed."""
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")  # no codegen store hit
+    built, compiled = [], []
+
+    class CountingSim(ArenaFaultSim):
+        def __init__(self, netlist):
+            built.append(netlist.name)
+            super().__init__(netlist)
+
+    codegen = arena._codegen_code_objects
+    monkeypatch.setattr(arena, "ArenaFaultSim", CountingSim)
+    monkeypatch.setattr(arena, "_codegen_code_objects",
+                        lambda rows, name: compiled.append(name)
+                        or codegen(rows, name))
+    design = tmp_path / "arm2.v"
+    design.write_text(arm2_source())
+    assert main(["atpg", str(design), "--top", "arm", "--mut", "arm_alu",
+                 "--mut", "forward", "--mut", "exc", "--frames", "1",
+                 "--backtrack-limit", "10", "--jobs", "1"]) == 0
+    # name: faults, detected, cov%, eff%, then tests and vectors.
+    rows = {cells[0]: cells[1:5] + cells[7:]
+            for cells in map(str.split, capsys.readouterr().out.splitlines())
+            if cells and cells[0].endswith("_transformed")}
+    assert rows == {
+        "arm_alu_transformed": ["1096", "723", "65.97", "66.42", "96", "344"],
+        "forward_transformed": ["14", "9", "64.29", "64.29", "3", "96"],
+        "exc_transformed": ["161", "99", "61.49", "91.30", "6", "192"],
+    }
+    assert built == compiled == ["arm_alu_transformed", "exc_transformed"]
+
+
 def test_podem_builds_no_simulator():
     """PODEM reads opcodes and fanin from its own model: an unrolled
     model and a search leave the simulator cache untouched."""

@@ -405,6 +405,27 @@ class TestRunner:
         assert len(report["effects"]) == 2
         assert report["recommended"] is not None
 
+    def test_local_trials_are_charged_their_report_cpu(self, monkeypatch):
+        """As served trials are: a trial costs its ATPG report's CPU
+        seconds, not the whole worker span, which also parsed, extracted
+        and synthesized for it (or not, on a warm worker)."""
+        import repro.serve.worker as worker_module
+
+        execute = worker_module.execute_job
+        outcomes = []
+
+        def recording(spec, **kwargs):
+            outcomes.append(execute(spec, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(worker_module, "execute_job", recording)
+        runner = CampaignRunner(tiny_spec(), local=True)
+        runner.run()
+        assert len(outcomes) == 4
+        assert [row["cost_s"] for row in runner.db.rows()] == [
+            round(outcome["result"]["cpu_seconds"], 6)
+            for outcome in outcomes]
+
     def test_second_run_is_store_warmed(self):
         spec = tiny_spec()
         CampaignRunner(spec, local=True).run()
